@@ -64,8 +64,10 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/artifact.hpp"
@@ -74,6 +76,7 @@
 #include "campaign/prune_plan.hpp"
 #include "campaign/types.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/metrics.hpp"
 #include "service/jobspec.hpp"
 #include "sim/engine.hpp"
 
@@ -115,6 +118,22 @@ unsigned parsePositive(const std::string& text, const char* what) {
                text + "'");
   }
   return static_cast<unsigned>(value);
+}
+
+/// Strict keyword lookup: `text` must name one of `choices`. Anything else
+/// is a usage error naming the value, never a silent fall-back to the
+/// default (a mistyped band or a shifted artifact path would otherwise run
+/// the wrong campaign).
+template <class T>
+T parseChoice(const std::string& text, const char* what,
+              std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string names;
+  for (const auto& [name, value] : choices) {
+    if (text == name) return value;
+    names += (names.empty() ? "" : " | ") + std::string(name);
+  }
+  usageError(std::string(what) + " expects " + names + ", got '" + text +
+             "'");
 }
 
 /// Worker count: a positive integer, or "auto" for one per hardware thread.
@@ -248,24 +267,35 @@ int main(int argc, char** argv) {
   job.name = modelArg + "_" + targetArg + "_" + unitArg;
   job.spec.experiments = faults;
   job.spec.seed = 2006;
-  job.spec.model = modelArg == "pulse"   ? campaign::FaultModel::Pulse
-               : modelArg == "delay" ? campaign::FaultModel::Delay
-               : modelArg == "indet" ? campaign::FaultModel::Indetermination
-                                     : campaign::FaultModel::BitFlip;
-  job.spec.targets = targetArg == "memory"     ? campaign::TargetClass::MemoryBlockBit
-                 : targetArg == "lut"      ? campaign::TargetClass::CombinationalLut
-                 : targetArg == "seqline"  ? campaign::TargetClass::SequentialLine
-                 : targetArg == "combline" ? campaign::TargetClass::CombinationalLine
-                                           : campaign::TargetClass::SequentialFF;
-  job.spec.unit = static_cast<int>(unitArg == "registers" ? netlist::Unit::Registers
-                               : unitArg == "ram"      ? netlist::Unit::Ram
-                               : unitArg == "alu"      ? netlist::Unit::Alu
-                               : unitArg == "mem"      ? netlist::Unit::MemCtrl
-                               : unitArg == "fsm"      ? netlist::Unit::Fsm
-                                                       : netlist::Unit::None);
-  job.spec.band = bandArg == "sub"    ? campaign::DurationBand::subCycle()
-              : bandArg == "long" ? campaign::DurationBand::longBand()
-                                  : campaign::DurationBand::shortBand();
+  using campaign::FaultModel;
+  using campaign::TargetClass;
+  using netlist::Unit;
+  job.spec.model = parseChoice<FaultModel>(
+      modelArg, "model",
+      {{"bitflip", FaultModel::BitFlip},
+       {"pulse", FaultModel::Pulse},
+       {"delay", FaultModel::Delay},
+       {"indet", FaultModel::Indetermination}});
+  job.spec.targets = parseChoice<TargetClass>(
+      targetArg, "targets",
+      {{"ff", TargetClass::SequentialFF},
+       {"memory", TargetClass::MemoryBlockBit},
+       {"lut", TargetClass::CombinationalLut},
+       {"seqline", TargetClass::SequentialLine},
+       {"combline", TargetClass::CombinationalLine}});
+  job.spec.unit = static_cast<int>(parseChoice<Unit>(
+      unitArg, "unit",
+      {{"any", Unit::None},
+       {"registers", Unit::Registers},
+       {"ram", Unit::Ram},
+       {"alu", Unit::Alu},
+       {"mem", Unit::MemCtrl},
+       {"fsm", Unit::Fsm}}));
+  job.spec.band = parseChoice<campaign::DurationBand>(
+      bandArg, "band",
+      {{"sub", campaign::DurationBand::subCycle()},
+       {"short", campaign::DurationBand::shortBand()},
+       {"long", campaign::DurationBand::longBand()}});
   const campaign::CampaignSpec& spec = job.spec;
 
   std::printf("Building the MC8051 + Bubblesort system...\n");
@@ -330,6 +360,17 @@ int main(int argc, char** argv) {
   std::printf("  modeled emulation time: %.3f s/fault (total %.0f s for the "
               "campaign)\n",
               result.modeledSeconds.mean(), result.modeledSeconds.sum());
+  if (toolArg == "fades") {
+    // Host-side effort, kept out of the artifact: device cycles emulated
+    // and experiments stopped early once back on the golden run.
+    auto& registry = obs::Registry::global();
+    std::printf("  device cycles executed: %llu (%llu experiments stopped "
+                "early, back on the golden run)\n",
+                static_cast<unsigned long long>(
+                    registry.counter("fades.cycles_executed").value()),
+                static_cast<unsigned long long>(
+                    registry.counter("fades.early_silent_exits").value()));
+  }
   if (!result.quarantined.empty()) {
     std::printf("  quarantined: %zu experiment(s) after persistent transient "
                 "errors:\n",

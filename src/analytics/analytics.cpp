@@ -74,7 +74,7 @@ std::string bpToPct(unsigned bp) {
 
 std::string pcHex(std::int64_t pc) {
   if (pc < 0) return "-";
-  char buf[16];
+  char buf[24];  // "0x" + up to 16 hex digits + NUL
   std::snprintf(buf, sizeof buf, "0x%04llx",
                 static_cast<unsigned long long>(pc));
   return buf;

@@ -8,6 +8,7 @@
 // against a golden run as Failure / Latent / Silent (Section 5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,6 +75,19 @@ struct Observation {
 /// Compare a faulty run against the golden run.
 Outcome classify(const Observation& golden, const Observation& faulty);
 
+/// Golden-run checkpoint lookup shared by the injectors: `checkpoints[i]`
+/// holds the state at cycle i * interval. Returns the latest checkpoint at
+/// or before `cycle` and stores its cycle in `ckCycle`.
+template <class State>
+const State& checkpointAtOrBefore(const std::vector<State>& checkpoints,
+                                  unsigned interval, std::uint64_t cycle,
+                                  std::uint64_t& ckCycle) {
+  const std::size_t idx =
+      std::min<std::size_t>(cycle / interval, checkpoints.size() - 1);
+  ckCycle = idx * interval;
+  return checkpoints[idx];
+}
+
 struct CampaignSpec {
   FaultModel model = FaultModel::BitFlip;
   TargetClass targets = TargetClass::SequentialFF;
@@ -109,7 +123,7 @@ struct ExperimentRecord {
   /// Component attribution: the functional unit of the injected site, as a
   /// netlist::toString(Unit) name ("registers", "alu", "fsm", "memctrl",
   /// "ram"; "none" when the site belongs to no unit).
-  std::string component;
+  std::string component{};
   /// Golden-run instruction in flight at the injection instant (root-cause
   /// attribution); -1 when no instruction trace was attached to the tool.
   std::int64_t pc = -1;

@@ -35,6 +35,10 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
           "campaign.experiments{outcome=latent}")),
       ctrSilents_(obs::Registry::global().counter(
           "campaign.experiments{outcome=silent}")),
+      ctrEarlySilentExits_(
+          obs::Registry::global().counter("fades.early_silent_exits")),
+      ctrCyclesExecuted_(
+          obs::Registry::global().counter("fades.cycles_executed")),
       modeledSecondsHist_(obs::Registry::global().histogram(
           "experiment.modeled_seconds",
           {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0})) {
@@ -166,12 +170,12 @@ double FadesTool::meterSeconds() const {
   return opt_.link.seconds(port_.meter());
 }
 
-const fpga::DeviceState& FadesTool::checkpointAtOrBefore(
-    std::uint64_t cycle, std::uint64_t& ckCycle) const {
-  const std::size_t idx = std::min<std::size_t>(
-      cycle / opt_.checkpointInterval, checkpoints_.size() - 1);
-  ckCycle = idx * opt_.checkpointInterval;
-  return checkpoints_[idx];
+std::uint64_t FadesTool::replayGoldenTo(std::uint64_t cycle) {
+  std::uint64_t ckCycle = 0;
+  dev_.restoreState(campaign::checkpointAtOrBefore(
+      checkpoints_, opt_.checkpointInterval, cycle, ckCycle));
+  for (std::uint64_t c = ckCycle; c < cycle; ++c) dev_.step();
+  return cycle - ckCycle;
 }
 
 // ---------------------------------------------------------------------------
@@ -730,13 +734,12 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
   port_.resetMeter();
   chargeExperimentBaseline();
 
+  FaultyRun run;
   {
     // Host-side replay from the nearest checkpoint (the modeled flow runs the
-    // workload from reset; its duration is charged via fpgaClockHz below).
+    // workload from reset; its duration is charged via fpgaClockHz).
     obs::Span locateSpan{"locate", {{"target", std::to_string(target)}}};
-    std::uint64_t ckCycle = 0;
-    dev_.restoreState(checkpointAtOrBefore(injectCycle, ckCycle));
-    for (std::uint64_t c = ckCycle; c < injectCycle; ++c) dev_.step();
+    run = beginFaultyRun(injectCycle);
   }
 
   // Sub-cycle faults overlap a sampling edge with probability = duration.
@@ -746,22 +749,6 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
   } else {
     effectiveCycles = static_cast<std::uint64_t>(durationCycles + 0.5);
   }
-
-  Observation faulty;
-  faulty.outputs.assign(
-      golden_.outputs.begin(),
-      golden_.outputs.begin() + static_cast<std::ptrdiff_t>(injectCycle));
-  bool diverged = false;
-  std::int64_t detectCycle = -1;
-  auto stepObserved = [&] {
-    const std::uint64_t w = outputWord();
-    if (!diverged && w != golden_.outputs[faulty.outputs.size()]) {
-      diverged = true;
-      detectCycle = static_cast<std::int64_t>(faulty.outputs.size());
-    }
-    faulty.outputs.push_back(w);
-    dev_.step();
-  };
 
   ActiveFault fault;
   fault.model = model;
@@ -787,28 +774,86 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
       for (std::uint64_t k = 0;
            k < effectiveCycles && dev_.cycle() < runCycles_; ++k) {
         if (k > 0 && opt_.oscillatingIndetermination) oscillate(fault, rng);
-        stepObserved();
+        stepObserved(run);
       }
     }
     obs::Span removeSpan{"remove"};
     remove(fault);
   }
 
+  const Outcome outcome = finishExperiment(run, injectCycle, modeledSeconds);
+  if (meterOut != nullptr) *meterOut = port_.meter();
+  if (detectCycleOut != nullptr) *detectCycleOut = run.detectCycle;
+  return outcome;
+}
+
+FadesTool::FaultyRun FadesTool::beginFaultyRun(std::uint64_t injectCycle) {
+  FaultyRun run;
+  run.stepped = replayGoldenTo(injectCycle);
+  // The pre-injection prefix equals the golden trace by determinism.
+  run.trace.outputs.assign(
+      golden_.outputs.begin(),
+      golden_.outputs.begin() + static_cast<std::ptrdiff_t>(injectCycle));
+  return run;
+}
+
+void FadesTool::stepObserved(FaultyRun& run) {
+  auto& outputs = run.trace.outputs;
+  const std::uint64_t w = outputWord();
+  if (run.detectCycle < 0 && w != golden_.outputs[outputs.size()]) {
+    run.detectCycle = static_cast<std::int64_t>(outputs.size());
+  }
+  outputs.push_back(w);
+  dev_.step();
+  ++run.stepped;
+}
+
+bool FadesTool::backOnGoldenRun(std::uint64_t injectCycle) const {
+  // Early silent exit. Device::step reads nothing but the configuration and
+  // the dynamic state matchesState compares (FF states, memory contents,
+  // read latches, pad stimuli); its stale-data register (prevD_) matters
+  // only for flip-flops that miss timing, and a configuration equal to the
+  // golden one has none (timing mode requires the fault-free design to meet
+  // timing). So once the state and the logic plane both equal the golden
+  // run's at the same cycle, every remaining cycle replays the golden run
+  // exactly: the trace never diverges and the final state is the golden
+  // one, i.e. the outcome is Silent. The check runs at golden-checkpoint
+  // boundaries after the injection instant, against the stored checkpoint
+  // in place; the cheap dynamic state is compared before the logic plane.
+  const std::uint64_t c = dev_.cycle();
+  if (c <= injectCycle || c % opt_.checkpointInterval != 0) return false;
+  std::uint64_t ckCycle = 0;
+  const auto& golden = campaign::checkpointAtOrBefore(
+      checkpoints_, opt_.checkpointInterval, c, ckCycle);
+  return ckCycle == c && dev_.matchesState(golden) &&
+         dev_.logicPlane() == impl_.bitstream.logic;
+}
+
+Outcome FadesTool::finishExperiment(FaultyRun& run, std::uint64_t injectCycle,
+                                    double* modeledSeconds) {
   Outcome outcome;
+  bool earlyExit = false;
   {
-    // Observe to the end of the workload; once the trace has diverged the
-    // outcome is already Failure and the remaining observation is charged
+    // Observe to the end of the workload. Once the trace has diverged the
+    // outcome is already Failure, and once the device is back on the golden
+    // run it is Silent; either way the remaining observation is charged
     // without being executed.
     obs::Span observeSpan{"observe"};
-    while (!diverged && dev_.cycle() < runCycles_) stepObserved();
+    while (run.detectCycle < 0 && dev_.cycle() < runCycles_) {
+      if (backOnGoldenRun(injectCycle)) {
+        earlyExit = true;
+        break;
+      }
+      stepObserved(run);
+    }
 
-    if (diverged) {
-      captureFinalStateViaPort(faulty, /*chargeOnly=*/true);
-      outcome = Outcome::Failure;
+    if (run.detectCycle >= 0 || earlyExit) {
+      captureFinalStateViaPort(run.trace, /*chargeOnly=*/true);
+      outcome = earlyExit ? Outcome::Silent : Outcome::Failure;
     } else {
-      faulty.outputs.resize(runCycles_);
-      captureFinalStateViaPort(faulty, /*chargeOnly=*/false);
-      outcome = campaign::classify(golden_, faulty);
+      run.trace.outputs.resize(runCycles_);
+      captureFinalStateViaPort(run.trace, /*chargeOnly=*/false);
+      outcome = campaign::classify(golden_, run.trace);
     }
   }
 
@@ -821,9 +866,9 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     case Outcome::Latent: ctrLatents_.inc(); break;
     case Outcome::Silent: ctrSilents_.inc(); break;
   }
+  if (earlyExit) ctrEarlySilentExits_.inc();
+  ctrCyclesExecuted_.add(run.stepped);
   if (modeledSeconds != nullptr) *modeledSeconds = seconds;
-  if (meterOut != nullptr) *meterOut = port_.meter();
-  if (detectCycleOut != nullptr) *detectCycleOut = detectCycle;
   return outcome;
 }
 
@@ -885,9 +930,8 @@ campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
       out.hasRecord = true;
       out.record = campaign::ExperimentRecord{
           targetName(spec.targets, target), injectCycle, duration,
-          out.outcome, out.modeledSeconds};
-      out.record.component =
-          netlist::toString(targetUnit(spec.targets, target));
+          out.outcome, out.modeledSeconds,
+          netlist::toString(targetUnit(spec.targets, target))};
       out.record.detectCycle = detectCycle;
       if (opt_.instructionTrace != nullptr &&
           injectCycle < opt_.instructionTrace->size()) {
@@ -925,8 +969,8 @@ campaign::ExperimentOutcome FadesTool::synthesizeCampaignExperiment(
     out.hasRecord = true;
     out.record = campaign::ExperimentRecord{
         targetName(spec.targets, target), injectCycle, duration, out.outcome,
-        out.modeledSeconds};
-    out.record.component = netlist::toString(targetUnit(spec.targets, target));
+        out.modeledSeconds,
+        netlist::toString(targetUnit(spec.targets, target))};
     out.record.detectCycle =
         representative.hasRecord ? representative.record.detectCycle : -1;
     if (opt_.instructionTrace != nullptr &&
@@ -1036,9 +1080,7 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
 
   port_.resetMeter();
   chargeExperimentBaseline();
-  std::uint64_t ckCycle = 0;
-  dev_.restoreState(checkpointAtOrBefore(injectCycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < injectCycle; ++c) dev_.step();
+  FaultyRun run = beginFaultyRun(injectCycle);
 
   // GSR-based multiple flip: read back all FF states, program every FF's
   // set/reset mux with its current value - the targets inverted - and pulse
@@ -1067,38 +1109,7 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
   port_.endSession();
   dev_.settle();
 
-  Observation faulty;
-  faulty.outputs.assign(
-      golden_.outputs.begin(),
-      golden_.outputs.begin() + static_cast<std::ptrdiff_t>(injectCycle));
-  bool diverged = false;
-  while (!diverged && dev_.cycle() < runCycles_) {
-    const std::uint64_t w = outputWord();
-    diverged |= (w != golden_.outputs[faulty.outputs.size()]);
-    faulty.outputs.push_back(w);
-    dev_.step();
-  }
-
-  Outcome outcome;
-  if (diverged) {
-    captureFinalStateViaPort(faulty, /*chargeOnly=*/true);
-    outcome = Outcome::Failure;
-  } else {
-    faulty.outputs.resize(runCycles_);
-    captureFinalStateViaPort(faulty, /*chargeOnly=*/false);
-    outcome = campaign::classify(golden_, faulty);
-  }
-  const double seconds = meterSeconds() +
-                         static_cast<double>(runCycles_) / opt_.fpgaClockHz +
-                         opt_.hostPerExperimentSeconds;
-  modeledSecondsHist_.observe(seconds);
-  switch (outcome) {
-    case Outcome::Failure: ctrFailures_.inc(); break;
-    case Outcome::Latent: ctrLatents_.inc(); break;
-    case Outcome::Silent: ctrSilents_.inc(); break;
-  }
-  if (modeledSeconds != nullptr) *modeledSeconds = seconds;
-  return outcome;
+  return finishExperiment(run, injectCycle, modeledSeconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,9 +1139,7 @@ std::vector<RegisterEffect> FadesTool::multiBitFlipProbe(
   };
 
   // Golden next-state.
-  std::uint64_t ckCycle = 0;
-  dev_.restoreState(checkpointAtOrBefore(cycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < cycle; ++c) dev_.step();
+  replayGoldenTo(cycle);
   const fpga::DeviceState atCycle = dev_.captureState();
   dev_.step();
   const auto goldenRegs = registerValues();

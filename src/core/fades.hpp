@@ -223,6 +223,27 @@ class FadesTool {
     bool subCycle = false;
   };
 
+  // Faulty run of one experiment, observed from the injection instant on.
+  struct FaultyRun {
+    Observation trace;              // output trace, golden prefix included
+    std::int64_t detectCycle = -1;  // first diverging cycle; -1 while none
+    std::uint64_t stepped = 0;      // device cycles stepped so far
+  };
+
+  /// Restore the golden checkpoint at or before `cycle` and replay up to
+  /// it; returns the cycles stepped.
+  std::uint64_t replayGoldenTo(std::uint64_t cycle);
+  /// Replay to the injection instant and seed the trace with the golden
+  /// prefix.
+  FaultyRun beginFaultyRun(std::uint64_t injectCycle);
+  void stepObserved(FaultyRun& run);
+  bool backOnGoldenRun(std::uint64_t injectCycle) const;
+  /// With the fault inactive: observe to the end of the workload (or to the
+  /// first divergence, or back onto the golden run), classify, charge the
+  /// final-state readback and account the experiment.
+  Outcome finishExperiment(FaultyRun& run, std::uint64_t injectCycle,
+                           double* modeledSeconds);
+
   void inject(ActiveFault& fault, common::Rng& rng, double durationCycles);
   void remove(ActiveFault& fault);
   void oscillate(ActiveFault& fault, common::Rng& rng);
@@ -231,9 +252,6 @@ class FadesTool {
   void captureFinalStateViaPort(Observation& obs, bool chargeOnly);
   void chargeExperimentBaseline();
   double meterSeconds() const;
-
-  const fpga::DeviceState& checkpointAtOrBefore(std::uint64_t cycle,
-                                                std::uint64_t& ckCycle) const;
 
   fpga::Device& dev_;
   const synth::Implementation& impl_;
@@ -257,6 +275,8 @@ class FadesTool {
   obs::Counter& ctrFailures_;
   obs::Counter& ctrLatents_;
   obs::Counter& ctrSilents_;
+  obs::Counter& ctrEarlySilentExits_;
+  obs::Counter& ctrCyclesExecuted_;
   obs::Histogram& modeledSecondsHist_;
 };
 

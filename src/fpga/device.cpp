@@ -712,6 +712,12 @@ DeviceState Device::captureState() const {
   return s;
 }
 
+bool Device::matchesState(const DeviceState& s) const {
+  return cycle_ == s.cycle && ffState_ == s.ffState &&
+         bramLatch_ == s.bramLatch && padInput_ == s.padInput &&
+         bramCfg_ == s.bramContent;
+}
+
 void Device::restoreState(const DeviceState& s) {
   require(s.ffState.size() == ffState_.size() &&
               s.bramContent.size() == bramCfg_.size(),

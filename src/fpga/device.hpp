@@ -141,6 +141,11 @@ class Device {
 
   DeviceState captureState() const;
   void restoreState(const DeviceState& s);
+  /// True when the dynamic state equals `s` (cycle, FF states, memory
+  /// contents, read latches, pad stimuli); compares in place, no copy.
+  bool matchesState(const DeviceState& s) const;
+  /// The logic configuration plane (plane A) as currently loaded.
+  const common::BitVector& logicPlane() const { return logicCfg_; }
 
   // --- timing ------------------------------------------------------------------
   void setTimingEnabled(bool on);

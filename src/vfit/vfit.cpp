@@ -112,15 +112,6 @@ std::vector<RamId> VfitTool::ramTargets() const {
   return out;
 }
 
-const sim::Snapshot& VfitTool::checkpointAtOrBefore(
-    std::uint64_t cycle, std::uint64_t& ckCycle) const {
-  const std::size_t idx =
-      std::min<std::size_t>(cycle / opt_.checkpointInterval,
-                            checkpoints_.size() - 1);
-  ckCycle = idx * opt_.checkpointInterval;
-  return checkpoints_[idx];
-}
-
 Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
                                 std::uint32_t targetIndex,
                                 std::uint64_t injectCycle,
@@ -137,7 +128,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   // Replay from the closest golden checkpoint (wall-clock shortcut; the
   // modeled cost below always charges a complete simulation).
   std::uint64_t ckCycle = 0;
-  sim_->restore(checkpointAtOrBefore(injectCycle, ckCycle));
+  sim_->restore(campaign::checkpointAtOrBefore(
+      checkpoints_, opt_.checkpointInterval, injectCycle, ckCycle));
   for (std::uint64_t c = ckCycle; c < injectCycle; ++c) sim_->step();
 
   // Faulty trace: the pre-injection prefix equals the golden trace by
@@ -372,8 +364,7 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
     out.hasRecord = true;
     out.record = campaign::ExperimentRecord{
         std::to_string(plan.target), plan.injectCycle, plan.duration, outcome,
-        out.modeledSeconds};
-    out.record.component = netlist::toString(targetUnit(spec, plan.target));
+        out.modeledSeconds, netlist::toString(targetUnit(spec, plan.target))};
   }
   return out;
 }

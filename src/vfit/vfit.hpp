@@ -165,8 +165,6 @@ class VfitTool {
                          const std::vector<std::uint64_t>& prefixOutputs);
   std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;
-  const sim::Snapshot& checkpointAtOrBefore(std::uint64_t cycle,
-                                            std::uint64_t& ckCycle) const;
 
   const Netlist& nl_;
   std::uint64_t runCycles_;

@@ -310,6 +310,25 @@ TEST(Analytics, ZeroExperimentArtifactsFoldToZeroBasisPoints) {
   EXPECT_FALSE(analytics::toCsv(report).empty());
 }
 
+TEST(Analytics, PcAtOrAbove2To52RendersUntruncated) {
+  // A loaded artifact can carry any non-negative int64 pc; 2^52 + 0xabc
+  // needs 14 hex digits, past what a 16-byte buffer holds after "0x".
+  TempPath json("analytics_big_pc.json");
+  writeWholeFile(json.str,
+                 "{\"schema\": \"fades.run/1\", \"name\": \"big_pc\", "
+                 "\"records\": [{\"target\": \"reg_a\", \"component\": "
+                 "\"registers\", \"inject_cycle\": 3, \"duration_cycles\": 2, "
+                 "\"outcome\": \"failure\", \"modeled_seconds\": 0.25, "
+                 "\"pc\": 4503599627373244, \"opcode\": 116, "
+                 "\"detect_cycle\": 5}]}\n");
+  const auto report =
+      analytics::buildReport({analytics::loadRunArtifact(json.str)});
+  ASSERT_EQ(report.pcs.size(), 1u);
+  EXPECT_EQ(report.pcs[0].pc, (std::int64_t{1} << 52) + 0xabc);
+  EXPECT_NE(analytics::toMarkdown(report).find("| 0x10000000000abc |"),
+            std::string::npos);
+}
+
 TEST(Analytics, EmptyJournalFileIsRejectedNotFoldedAsZero) {
   // No header at all means the file is not a journal; folding it silently
   // as zero experiments would hide the broken input.

@@ -211,7 +211,9 @@ TEST(AutonomousEquivalence, FourWayOracleAgreesOnConstructedMatrix) {
     EXPECT_TRUE(rep.ok()) << rep.toJson().dump(2);
     // The autonomous pool enumeration equals VFIT's, so whenever VFIT could
     // inject, the autonomous backend must have run (and agreed).
-    if (rep.vfitRan) EXPECT_TRUE(rep.autonomousRan);
+    if (rep.vfitRan) {
+      EXPECT_TRUE(rep.autonomousRan);
+    }
   }
 }
 

@@ -308,7 +308,6 @@ TEST(Fades, FlopBitFlipViaLsrMatchesVfitOutcomes) {
 }
 
 TEST(Fades, GsrAndLsrBitFlipAgreeButGsrMovesMoreData) {
-  const auto& d = MiniDesign::instance();
   FadesOptions lsrOpt = miniFadesOptions();
   FadesOptions gsrOpt = miniFadesOptions();
   gsrOpt.bitFlipVia = core::BitFlipVia::Gsr;

@@ -28,7 +28,9 @@ TEST(LayoutEdge, LastMinorOfColumnMayBePartial) {
           l.logicFrameBitCount(FrameAddr{Plane::Logic, col, m});
       ASSERT_GT(bits, 0u);
       ASSERT_LE(bits, l.frameBits());
-      if (m + 1 < minors) EXPECT_EQ(bits, l.frameBits());
+      if (m + 1 < minors) {
+        EXPECT_EQ(bits, l.frameBits());
+      }
       total += bits;
     }
     // Frames tile the column exactly.
