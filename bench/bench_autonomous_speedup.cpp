@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   for (const auto& r : kRows) {
     const auto spec = makeSpec(r.model, r.targets, n);
     const auto rtrRes = bench::runCampaign(rtr, spec);
-    const auto autRes = aut.runCampaign(spec);
+    const auto autRes = campaign::runCampaign(aut, spec);
     recordCampaign("rtr, " + r.label, rtrRes);
     recordCampaign("autonomous, " + r.label, autRes);
     const double rtrSec = rtrRes.modeledSeconds.mean();

@@ -1,5 +1,7 @@
 #include "bench_common.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -18,12 +20,27 @@ namespace fades::bench {
 
 namespace {
 
-unsigned envCount(const char* name, unsigned defaultCount) {
-  if (const char* v = std::getenv(name)) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
+/// Strict count parse: digits only, no overflow, at least `min`. Anything
+/// else exits 2 naming the source and the value - strtol would turn "abc"
+/// into 0, which as a job count silently means one worker per hardware
+/// thread.
+unsigned parseCount(const char* text, const char* what, unsigned min) {
+  const std::string s = text;
+  const bool digits =
+      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  const unsigned long n = digits ? std::strtoul(text, nullptr, 10) : 0;
+  if (!digits || errno != 0 || n > UINT_MAX || n < min) {
+    std::fprintf(stderr, "error: %s expects %s integer, got '%s'\n", what,
+                 min == 0 ? "a non-negative" : "a positive", text);
+    std::exit(2);
   }
-  return defaultCount;
+  return static_cast<unsigned>(n);
+}
+
+unsigned envCount(const char* name, unsigned defaultCount) {
+  const char* v = std::getenv(name);
+  return v == nullptr ? defaultCount : parseCount(v, name, 1);
 }
 
 BenchRun* gActiveRun = nullptr;
@@ -31,7 +48,7 @@ BenchRun* gActiveRun = nullptr;
 /// --jobs from the command line; -1 = not given (fall back to FADES_JOBS,
 /// then serial). A given 0 is legitimate: the parallel runner maps it to
 /// one worker per hardware thread.
-int gJobsArg = -1;
+long gJobsArg = -1;
 
 }  // namespace
 
@@ -44,8 +61,8 @@ BenchRun::BenchRun(std::string name, int argc, char** argv)
       } else {
         jsonPath_ = "BENCH_" + name_ + ".json";
       }
-    } else if (std::string(argv[i]) == "--jobs" && i + 1 < argc) {
-      gJobsArg = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
+    } else if (std::string(argv[i]) == "--jobs") {
+      gJobsArg = parseCount(i + 1 < argc ? argv[i + 1] : "", "--jobs", 0);
     }
   }
   gActiveRun = this;
@@ -132,8 +149,7 @@ unsigned timingCount(unsigned defaultCount) {
 unsigned jobs() {
   if (gJobsArg >= 0) return static_cast<unsigned>(gJobsArg);
   if (const char* v = std::getenv("FADES_JOBS")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n >= 0) return static_cast<unsigned>(n);
+    return parseCount(v, "FADES_JOBS", 0);
   }
   return 1;
 }
@@ -163,8 +179,7 @@ std::string toolFingerprint(core::FadesTool& tool) {
                    std::to_string(o.linkRetry.maxRetries) + "," +
                    std::to_string(o.linkRetry.backoffBaseSeconds) + "," +
                    std::to_string(o.linkRetry.backoffFactor) + "," +
-                   std::to_string(o.linkRetry.backoffCapSeconds) + "/" +
-                   std::to_string(o.experimentAttempts);
+                   std::to_string(o.linkRetry.backoffCapSeconds);
   for (const auto& out : o.observedOutputs) fp += "," + out;
   return fp;
 }
@@ -184,16 +199,14 @@ std::map<const core::FadesTool*, CachedRunner> gRunners;
 
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec) {
-  const unsigned n = jobs();
-  if (n == 1) return tool.runCampaign(spec);
+  campaign::ParallelOptions popt;
+  popt.jobs = jobs();
+  popt.progressInterval = 100;
+  if (popt.jobs == 1) return campaign::runCampaign(tool, spec, popt);
   auto& cached = gRunners[&tool];
   const std::string fp = toolFingerprint(tool);
   if (!cached.runner || cached.impl != &tool.implementation() ||
       cached.fingerprint != fp) {
-    campaign::ParallelOptions popt;
-    popt.jobs = n;
-    popt.progressInterval = tool.options().progressInterval;
-    popt.experimentAttempts = tool.options().experimentAttempts;
     cached.impl = &tool.implementation();
     cached.fingerprint = fp;
     cached.runner = std::make_unique<campaign::ParallelCampaignRunner>(

@@ -79,10 +79,12 @@ unsigned timingCount(unsigned defaultCount = 80);
 unsigned jobs();
 
 /// Run `spec` with `tool`'s configuration, sharded across jobs() workers.
-/// With jobs() <= 1 this is exactly tool.runCampaign(spec); otherwise a
-/// cached ParallelCampaignRunner (one per tool, replicating its device spec
-/// and options) runs it with bit-identical results - sharding changes the
-/// bench's wall-clock, never its numbers.
+/// With jobs() == 1 the runner's loop drives `tool` itself
+/// (campaign::runCampaign); otherwise a cached ParallelCampaignRunner (one
+/// per tool, replicating its device spec and options) runs it with
+/// bit-identical results - sharding changes the bench's wall-clock, never
+/// its numbers. Either way a progress heartbeat fires every 100
+/// experiments.
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec);
 

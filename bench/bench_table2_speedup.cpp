@@ -38,7 +38,7 @@ double meanSecondsVfit(vfit::VfitTool& tool, FaultModel m, TargetClass c,
   spec.band = band;
   spec.experiments = n;
   spec.seed = 11;
-  return tool.runCampaign(spec).modeledSeconds.mean();
+  return campaign::runCampaign(tool, spec).modeledSeconds.mean();
 }
 
 }  // namespace

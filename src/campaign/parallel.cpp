@@ -188,30 +188,40 @@ void ParallelCampaignRunner::ensureEngines(unsigned count) {
   }
 }
 
-CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
-  const unsigned workers =
-      std::max(1u, std::min(jobs_, std::max(1u, spec.experiments)));
-  ensureEngines(workers);
+// ---------------------------------------------------------------------------
+// The campaign loop
+// ---------------------------------------------------------------------------
 
-  obs::Span campaignSpan{"campaign.sharded",
+namespace {
+
+/// The one campaign loop: a worker per engine in `engines` (the calling
+/// thread when there is only one) leases experiment indices, runs them with
+/// the retry/quarantine discipline, and the outcomes are folded in index
+/// order. runCampaign and ParallelCampaignRunner::run differ only in who
+/// owns the engines.
+CampaignResult runOnEngines(std::span<CampaignEngine* const> engines,
+                            const CampaignSpec& spec,
+                            const ParallelOptions& opt) {
+  const unsigned workers = static_cast<unsigned>(engines.size());
+  obs::Span campaignSpan{"campaign",
                          {{"model", toString(spec.model)},
                           {"targets", toString(spec.targets)},
                           {"jobs", std::to_string(workers)}}};
-  const std::vector<std::uint32_t> pool = engines_[0]->enumeratePool(spec);
+  const std::vector<std::uint32_t> pool = engines[0]->enumeratePool(spec);
 
   std::vector<ExperimentOutcome> outcomes(spec.experiments);
   ProgressTracker progress(toString(spec.model), spec.experiments,
-                           opt_.progressInterval);
+                           opt.progressInterval);
 
   // Checkpoint/resume: journaled outcomes are folded back in without being
   // re-run, so a resumed campaign produces artifacts byte-identical to an
   // uninterrupted one (every outcome is a pure function of (spec, index)
   // and the fold order is index order either way).
   std::vector<char> alreadyDone(spec.experiments, 0);
-  if (opt_.journal != nullptr) {
-    opt_.journal->open(spec, opt_.resume);
+  if (opt.journal != nullptr) {
+    opt.journal->open(spec, opt.resume);
     std::uint64_t resumed = 0;
-    for (const auto& [index, outcome] : opt_.journal->completed()) {
+    for (const auto& [index, outcome] : opt.journal->completed()) {
       if (index >= spec.experiments) continue;
       outcomes[index] = outcome;
       alreadyDone[index] = 1;
@@ -223,7 +233,7 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
           .counter("campaign.resumed_experiments")
           .add(resumed);
       FADES_LOG(Info) << "campaign resume"
-                      << obs::kv("journal", opt_.journal->path())
+                      << obs::kv("journal", opt.journal->path())
                       << obs::kv("resumed", resumed)
                       << obs::kv("total", spec.experiments);
     }
@@ -234,8 +244,8 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   // on a previous run) and synthesized from their representatives after the
   // workers finish, so only the plan's executedCount() experiments execute.
   std::vector<char> fromJournal;
-  if (opt_.prunePlan != nullptr) {
-    const PrunePlan& plan = *opt_.prunePlan;
+  if (opt.prunePlan != nullptr) {
+    const PrunePlan& plan = *opt.prunePlan;
     plan.validate();
     require(specKey(plan.spec) == specKey(spec), ErrorKind::InvalidArgument,
             "prune plan was derived for a different campaign spec");
@@ -247,12 +257,12 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
     }
   }
 
-  const unsigned attempts = std::max(1u, opt_.experimentAttempts);
+  const unsigned attempts = std::max(1u, opt.experimentAttempts);
   // Lease width: bit-parallel engines claim whole waves of contiguous
   // indices (wave composition cannot change outcomes - every experiment
   // stays a pure function of its index - so block leasing only changes
   // wall-clock, like everything else in this runner).
-  const unsigned waveWidth = std::max(1u, engines_[0]->waveWidth());
+  const unsigned waveWidth = std::max(1u, engines[0]->waveWidth());
   obs::Counter& cQuarantined =
       obs::Registry::global().counter("campaign.quarantined");
   std::atomic<unsigned> next{0};
@@ -279,7 +289,7 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
         bool waveDone = false;
         if (waveWidth > 1) {
           try {
-            auto outs = engines_[w]->runWaveAt(spec, pool, pending, 0);
+            auto outs = engines[w]->runWaveAt(spec, pool, pending, 0);
             require(outs.size() == pending.size(),
                     ErrorKind::InvalidArgument,
                     "engine wave returned wrong outcome count");
@@ -287,15 +297,15 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
               outs[i].index = pending[i];
               outs[i].attempts = 1;
               outcomes[pending[i]] = std::move(outs[i]);
-              if (opt_.journal != nullptr) {
-                opt_.journal->append(outcomes[pending[i]]);
+              if (opt.journal != nullptr) {
+                opt.journal->append(outcomes[pending[i]]);
               }
               progress.record(outcomes[pending[i]]);
             }
             waveDone = true;
           } catch (const common::FadesError& err) {
             if (!common::isTransientError(err.kind())) throw;
-            engines_[w]->recover();
+            engines[w]->recover();
           }
         }
         if (waveDone) continue;
@@ -306,9 +316,9 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
         for (const unsigned e : pending) {
           if (abort.load(std::memory_order_relaxed)) break;
           const ExperimentOutcome outcome = runExperimentWithRetry(
-              *engines_[w], spec, pool, e, attempts, cQuarantined);
+              *engines[w], spec, pool, e, attempts, cQuarantined);
           outcomes[e] = outcome;
-          if (opt_.journal != nullptr) opt_.journal->append(outcome);
+          if (opt.journal != nullptr) opt.journal->append(outcome);
           progress.record(outcome);
         }
       }
@@ -333,35 +343,54 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   // so running it single-threaded on engine 0 after the join keeps the
   // journal append order race-free; a quarantined representative has no
   // result to clone, so its members fall back to real execution.
-  if (opt_.prunePlan != nullptr) {
+  if (opt.prunePlan != nullptr) {
     obs::Counter& cPruned =
         obs::Registry::global().counter("campaign.pruned_experiments");
-    for (const auto& cls : opt_.prunePlan->classes) {
+    for (const auto& cls : opt.prunePlan->classes) {
       const ExperimentOutcome& rep = outcomes[cls.representative];
       for (const std::uint64_t m : cls.members) {
         if (fromJournal[m]) continue;  // resumed from a previous run
         const unsigned index = static_cast<unsigned>(m);
         if (rep.quarantined) {
-          outcomes[m] = runExperimentWithRetry(*engines_[0], spec, pool,
+          outcomes[m] = runExperimentWithRetry(*engines[0], spec, pool,
                                                index, attempts, cQuarantined);
         } else {
-          outcomes[m] = engines_[0]->synthesizeOutcome(spec, pool, index, rep);
+          outcomes[m] = engines[0]->synthesizeOutcome(spec, pool, index, rep);
           outcomes[m].index = m;
           outcomes[m].attempts = 0;
           cPruned.inc();
         }
-        if (opt_.journal != nullptr) opt_.journal->append(outcomes[m]);
+        if (opt.journal != nullptr) opt.journal->append(outcomes[m]);
         progress.record(outcomes[m]);
       }
     }
   }
 
-  // Merge in experiment-index order: the exact fold sequence of the serial
-  // loop, so sums and stats come out bit-identical.
+  // Merge in experiment-index order whatever the worker count, so sums and
+  // stats come out bit-identical.
   CampaignResult result;
   result.spec = spec;
   for (const auto& outcome : outcomes) result.fold(outcome);
   return result;
+}
+
+}  // namespace
+
+CampaignResult runCampaign(CampaignEngine& engine, const CampaignSpec& spec,
+                           const ParallelOptions& options) {
+  CampaignEngine* const engines[] = {&engine};
+  return runOnEngines(engines, spec, options);
+}
+
+CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
+  const unsigned workers =
+      std::max(1u, std::min(jobs_, std::max(1u, spec.experiments)));
+  ensureEngines(workers);
+
+  std::vector<CampaignEngine*> engines;
+  engines.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) engines.push_back(engines_[w].get());
+  return runOnEngines(engines, spec, opt_);
 }
 
 }  // namespace fades::campaign

@@ -12,8 +12,8 @@
 // Determinism contract: experiment i of a campaign is a pure function of
 // (spec, i) - target choice, injection instant, duration and every in-fault
 // random draw come from Rng(common::streamSeed(spec.seed, ...)) - and the
-// merge folds per-experiment outcomes in index order through the same
-// CampaignResult::fold the serial loop uses. Outcome tallies, per-experiment
+// merge folds per-experiment outcomes in index order through
+// CampaignResult::fold at every worker count. Outcome tallies, per-experiment
 // records and the modeled CostBreakdown are therefore bit-identical for any
 // shard count and any scheduling order; only wall-clock changes. Modeled
 // seconds model ONE board: sharding never reduces them.
@@ -187,6 +187,15 @@ struct ParallelOptions {
   /// Not owned; must outlive the runner's run() calls.
   const PrunePlan* prunePlan = nullptr;
 };
+
+/// Run a campaign on one engine the caller owns: the runner's loop at one
+/// job (resume, pruning, retry/quarantine and progress as configured in
+/// `options`; `options.jobs` is ignored). The engine keeps its state - device,
+/// golden run, checkpoints - across calls, so repeated campaigns on one tool
+/// pay its setup once. Results are byte-identical to ParallelCampaignRunner
+/// at any job count.
+CampaignResult runCampaign(CampaignEngine& engine, const CampaignSpec& spec,
+                           const ParallelOptions& options = {});
 
 /// Partitions a campaign's experiment list across worker threads, each
 /// owning its own engine replica, and merges the per-experiment outcomes in

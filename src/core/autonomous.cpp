@@ -1,17 +1,13 @@
 #include "core/autonomous.hpp"
 
-#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace fades::core {
 
-using campaign::CampaignResult;
 using campaign::CampaignSpec;
 using common::ErrorKind;
 using common::require;
@@ -103,23 +99,23 @@ campaign::ExperimentOutcome AutonomousTool::remeter(
   return out;
 }
 
-std::vector<std::uint32_t> AutonomousTool::campaignPool(
-    const CampaignSpec& spec) const {
-  return vfit_.campaignPool(spec);
+std::vector<std::uint32_t> AutonomousTool::enumeratePool(
+    const CampaignSpec& spec) {
+  return vfit_.enumeratePool(spec);
 }
 
-campaign::ExperimentOutcome AutonomousTool::runCampaignExperiment(
+campaign::ExperimentOutcome AutonomousTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index) {
+    unsigned index, unsigned rerun) {
   const auto plan = vfit_.planExperiment(spec, pool, index);
-  return remeter(vfit_.runCampaignExperiment(spec, pool, index),
+  return remeter(vfit_.runExperimentAt(spec, pool, index, rerun),
                  plan.commands);
 }
 
-std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
+std::vector<campaign::ExperimentOutcome> AutonomousTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices) {
-  auto outs = vfit_.runCampaignWave(spec, pool, indices);
+    std::span<const unsigned> indices, unsigned rerun) {
+  auto outs = vfit_.runWaveAt(spec, pool, indices, rerun);
   for (std::size_t i = 0; i < outs.size(); ++i) {
     outs[i] = remeter(std::move(outs[i]),
                       vfit_.planExperiment(spec, pool, indices[i]).commands);
@@ -127,88 +123,11 @@ std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
   return outs;
 }
 
-CampaignResult AutonomousTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> targets = campaignPool(spec);
-
-  obs::Span campaignSpan{"autonomous.campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)},
-                          {"engine", sim::toString(opt_.engine)}}};
-  CampaignResult result;
-  result.spec = spec;
-  auto note = [&](unsigned done) {
-    if (done % 100 == 0 || done == spec.experiments) {
-      FADES_LOG(Debug) << "autonomous campaign progress"
-                       << obs::kv("done", done)
-                       << obs::kv("total", spec.experiments)
-                       << obs::kv("failures", result.failures);
-    }
-  };
-  if (opt_.engine == sim::EngineKind::Compiled) {
-    std::vector<unsigned> indices;
-    for (unsigned first = 0; first < spec.experiments;
-         first += kWaveExperiments) {
-      const unsigned count =
-          std::min(kWaveExperiments, spec.experiments - first);
-      indices.resize(count);
-      std::iota(indices.begin(), indices.end(), first);
-      for (auto& o : runCampaignWave(spec, targets, indices)) {
-        result.fold(o);
-        note(static_cast<unsigned>(o.index) + 1);
-      }
-    }
-  } else {
-    for (unsigned e = 0; e < spec.experiments; ++e) {
-      result.fold(runCampaignExperiment(spec, targets, e));
-      note(e + 1);
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// AutonomousCampaignEngine
-// ---------------------------------------------------------------------------
-
-AutonomousCampaignEngine::AutonomousCampaignEngine(const Netlist& netlist,
-                                                   std::uint64_t runCycles,
-                                                   AutonomousOptions options)
-    : tool_(netlist, runCycles, std::move(options)) {}
-
-std::vector<std::uint32_t> AutonomousCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_.campaignPool(spec);
-}
-
-campaign::ExperimentOutcome AutonomousCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  // No link model: injections never move bytes, so reruns replay identically.
-  (void)rerun;
-  return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-unsigned AutonomousCampaignEngine::waveWidth() const {
-  return tool_.engine() == sim::EngineKind::Compiled
-             ? AutonomousTool::kWaveExperiments
-             : 1;
-}
-
-std::vector<campaign::ExperimentOutcome> AutonomousCampaignEngine::runWaveAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
-  if (tool_.engine() == sim::EngineKind::Compiled) {
-    return tool_.runCampaignWave(spec, pool, indices);
-  }
-  return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
-}
-
 campaign::EngineFactory autonomousEngineFactory(const Netlist& netlist,
                                                 std::uint64_t runCycles,
                                                 AutonomousOptions options) {
   return [&netlist, runCycles, options] {
-    return std::make_unique<AutonomousCampaignEngine>(netlist, runCycles,
-                                                      options);
+    return std::make_unique<AutonomousTool>(netlist, runCycles, options);
   };
 }
 

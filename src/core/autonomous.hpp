@@ -69,7 +69,10 @@ struct AutonomousOptions {
   bool verifyInstrumentation = true;
 };
 
-class AutonomousTool {
+/// The autonomous-emulation injector, and its own campaign engine; with the
+/// compiled engine it leases whole 63-experiment waves. Outcomes are
+/// byte-identical at any --jobs and across engines.
+class AutonomousTool final : public campaign::CampaignEngine {
  public:
   /// `netlist` is the SOURCE model; the constructor builds the autonomous
   /// instrumentation itself (see model()) and the semantic engine over the
@@ -83,28 +86,27 @@ class AutonomousTool {
     return m != campaign::FaultModel::Delay;
   }
 
-  campaign::CampaignResult runCampaign(const campaign::CampaignSpec& spec);
-
   /// Deterministic target enumeration; identical to VFIT's for the same
   /// spec, so aligned campaigns draw identical faults.
-  std::vector<std::uint32_t> campaignPool(
-      const campaign::CampaignSpec& spec) const;
+  std::vector<std::uint32_t> enumeratePool(
+      const campaign::CampaignSpec& spec) override;
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index):
   /// the VFIT semantic outcome re-metered under the autonomous cost model.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// Injections never move bytes, so there is no link model and `rerun` is
+  /// ignored.
+  campaign::ExperimentOutcome runExperimentAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index);
+      unsigned index, unsigned rerun) override;
 
-  static constexpr unsigned kWaveExperiments = vfit::VfitTool::kWaveExperiments;
+  unsigned waveWidth() const override { return vfit_.waveWidth(); }
 
-  /// Bit-parallel wave (requires engine == Compiled); per-index results are
-  /// exactly runCampaignExperiment's, as for VfitTool.
-  std::vector<campaign::ExperimentOutcome> runCampaignWave(
+  /// A wave of the semantic engine (bit-parallel on the compiled engine),
+  /// re-metered; per-index results are exactly runExperimentAt's.
+  std::vector<campaign::ExperimentOutcome> runWaveAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices);
+      std::span<const unsigned> indices, unsigned rerun) override;
 
-  sim::EngineKind engine() const { return opt_.engine; }
   const campaign::Observation& golden() const { return vfit_.golden(); }
 
   /// The instrumented netlist with its exact area overhead (gates/flops
@@ -129,30 +131,6 @@ class AutonomousTool {
   synth::AutonomousModel model_;
   vfit::VfitTool vfit_;  // semantic engine, metered under prefix "autonomous"
   std::uint64_t restoreCycles_ = 1;
-};
-
-/// One worker's replica for the sharded campaign runner; with the compiled
-/// engine it leases whole 63-experiment waves. Outcomes are byte-identical
-/// at any --jobs and across engines.
-class AutonomousCampaignEngine final : public campaign::CampaignEngine {
- public:
-  AutonomousCampaignEngine(const netlist::Netlist& netlist,
-                           std::uint64_t runCycles, AutonomousOptions options);
-
-  std::vector<std::uint32_t> enumeratePool(
-      const campaign::CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override;
-  std::vector<campaign::ExperimentOutcome> runWaveAt(
-      const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices, unsigned rerun) override;
-
-  AutonomousTool& tool() { return tool_; }
-
- private:
-  AutonomousTool tool_;
 };
 
 /// Factory for the parallel campaign runner: every worker gets its own

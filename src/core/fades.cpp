@@ -23,12 +23,24 @@ using fpga::NodeKind;
 
 FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
                      std::uint64_t runCycles, FadesOptions options)
-    : dev_(device),
+    : FadesTool(nullptr, &device, impl, runCycles, std::move(options)) {}
+
+FadesTool::FadesTool(const fpga::DeviceSpec& deviceSpec,
+                     const synth::Implementation& impl,
+                     std::uint64_t runCycles, FadesOptions options)
+    : FadesTool(std::make_unique<fpga::Device>(deviceSpec), nullptr, impl,
+                runCycles, std::move(options)) {}
+
+FadesTool::FadesTool(std::unique_ptr<fpga::Device> owned, fpga::Device* device,
+                     const synth::Implementation& impl,
+                     std::uint64_t runCycles, FadesOptions options)
+    : ownedDevice_(std::move(owned)),
+      dev_(ownedDevice_ ? *ownedDevice_ : *device),
       impl_(impl),
       runCycles_(runCycles),
       opt_(std::move(options)),
-      port_(device),
-      system_(device, impl),
+      port_(dev_),
+      system_(dev_, impl),
       ctrFailures_(obs::Registry::global().counter(
           "campaign.experiments{outcome=failure}")),
       ctrLatents_(obs::Registry::global().counter(
@@ -93,7 +105,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
   port_.setLinkFaults(opt_.linkFaults);
 }
 
-void FadesTool::recoverLink() {
+void FadesTool::recover() {
   // A link fault can abandon a reconfiguration session mid-write, leaving a
   // partially updated configuration plane that no checkpoint restore can
   // repair (checkpoints hold dynamic state, not configuration). Drop the
@@ -872,14 +884,14 @@ Outcome FadesTool::finishExperiment(FaultyRun& run, std::uint64_t injectCycle,
   return outcome;
 }
 
-std::vector<std::uint32_t> FadesTool::campaignPool(
-    const CampaignSpec& spec) const {
+std::vector<std::uint32_t> FadesTool::enumeratePool(
+    const CampaignSpec& spec) {
   return spec.targetPool.empty()
              ? targets(spec.model, spec.targets, static_cast<Unit>(spec.unit))
              : spec.targetPool;
 }
 
-campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
+campaign::ExperimentOutcome FadesTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, unsigned rerun) {
   // The link fault stream is keyed by (campaign seed, index, rerun) with a
@@ -944,7 +956,7 @@ campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
   }
 }
 
-campaign::ExperimentOutcome FadesTool::synthesizeCampaignExperiment(
+campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, const campaign::ExperimentOutcome& representative) {
   // Replay attempt 0 of this experiment's own stream for the planned
@@ -984,89 +996,13 @@ campaign::ExperimentOutcome FadesTool::synthesizeCampaignExperiment(
   return out;
 }
 
-CampaignResult FadesTool::runCampaign(const CampaignSpec& spec) {
-  CampaignResult result;
-  result.spec = spec;
-  obs::Span campaignSpan{"campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)}}};
-  const auto pool = campaignPool(spec);
-  campaign::ProgressTracker progress(campaign::toString(spec.model),
-                                     spec.experiments, opt_.progressInterval);
-  // Same isolate/retry/quarantine discipline as the sharded runner: a
-  // transient error re-runs the experiment (fresh link fault stream via
-  // `rerun`) after link recovery; exhausting the budget quarantines that
-  // one experiment instead of discarding the whole campaign.
-  const unsigned attempts = std::max(1u, opt_.experimentAttempts);
-  obs::Counter& cQuarantined =
-      obs::Registry::global().counter("campaign.quarantined");
-  for (unsigned e = 0; e < spec.experiments; ++e) {
-    campaign::ExperimentOutcome outcome;
-    for (unsigned rerun = 0;; ++rerun) {
-      try {
-        outcome = runCampaignExperiment(spec, pool, e, rerun);
-        outcome.attempts = rerun + 1;
-        break;
-      } catch (const common::FadesError& err) {
-        if (!common::isTransientError(err.kind())) throw;
-        recoverLink();
-        if (rerun + 1 >= attempts) {
-          outcome = campaign::ExperimentOutcome{};
-          outcome.index = e;
-          outcome.quarantined = true;
-          outcome.failureKind = err.kind();
-          outcome.failureMessage = err.what();
-          outcome.attempts = rerun + 1;
-          cQuarantined.inc();
-          break;
-        }
-      }
-    }
-    result.fold(outcome);
-    progress.record(outcome);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-campaign engine adapter
-// ---------------------------------------------------------------------------
-
-FadesCampaignEngine::FadesCampaignEngine(const synth::Implementation& impl,
-                                         std::uint64_t runCycles,
-                                         FadesOptions options,
-                                         const fpga::DeviceSpec& deviceSpec)
-    : device_(deviceSpec),
-      tool_(std::make_unique<FadesTool>(device_, impl, runCycles,
-                                        std::move(options))) {}
-
-std::vector<std::uint32_t> FadesCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_->campaignPool(spec);
-}
-
-campaign::ExperimentOutcome FadesCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  return tool_->runCampaignExperiment(spec, pool, index, rerun);
-}
-
-campaign::ExperimentOutcome FadesCampaignEngine::synthesizeOutcome(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) {
-  return tool_->synthesizeCampaignExperiment(spec, pool, index,
-                                             representative);
-}
-
-void FadesCampaignEngine::recover() { tool_->recoverLink(); }
-
 campaign::EngineFactory fadesEngineFactory(
     const synth::Implementation& impl, std::uint64_t runCycles,
     FadesOptions options, std::optional<fpga::DeviceSpec> deviceSpec) {
   return [&impl, runCycles, options = std::move(options),
           deviceSpec = std::move(deviceSpec)] {
-    return std::make_unique<FadesCampaignEngine>(
-        impl, runCycles, options, deviceSpec ? *deviceSpec : impl.spec);
+    return std::make_unique<FadesTool>(deviceSpec ? *deviceSpec : impl.spec,
+                                       impl, runCycles, options);
   };
 }
 

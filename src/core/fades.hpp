@@ -75,9 +75,6 @@ struct FadesOptions {
   std::vector<std::string> observedOutputs{"p0", "p1"};
   unsigned checkpointInterval = 128;
   bool keepRecords = false;
-  /// Campaign progress heartbeat (structured INFO log + campaign.progress_pct
-  /// gauge) every N experiments; 0 disables it.
-  unsigned progressInterval = 100;
   /// Session-scoped frame transaction cache in the ConfigPort: repeated
   /// frame reads inside one reconfiguration session are served from a
   /// host-side shadow and dirty frames are written back coalesced at session
@@ -92,11 +89,6 @@ struct FadesOptions {
   /// so outcomes and artifacts stay bit-identical to a fault-free run.
   bits::LinkFaultOptions linkFaults{};
   bits::RetryPolicy linkRetry{};
-  /// Runs one experiment gets in the serial runCampaign loop before a
-  /// persistent transient error (LinkError / InjectionError) quarantines it
-  /// instead of aborting the campaign. The sharded runner has its own
-  /// campaign::ParallelOptions::experimentAttempts.
-  unsigned experimentAttempts = 3;
   /// Golden-run instruction trace for root-cause attribution: entry c is the
   /// PC/opcode of the instruction in flight at cycle c (from, e.g.,
   /// mc8051::Iss::tracePcPerCycle). When set and keepRecords is on, every
@@ -114,12 +106,20 @@ struct RegisterEffect {
   std::uint64_t faulty = 0;
 };
 
-class FadesTool {
+/// The FADES injector, and its own campaign engine: campaign::runCampaign
+/// drives a caller's tool directly, and every worker of a sharded campaign
+/// owns one tool on a private device (fadesEngineFactory).
+class FadesTool final : public campaign::CampaignEngine {
  public:
   /// Configures the device with the implementation's bitstream (the one-time
   /// download of Figure 1) and records the golden run.
   FadesTool(fpga::Device& device, const synth::Implementation& impl,
             std::uint64_t runCycles, FadesOptions options = {});
+  /// Same, on a device of `deviceSpec` the tool owns - one sharded-campaign
+  /// replica, which pays the setup in its own thread.
+  FadesTool(const fpga::DeviceSpec& deviceSpec,
+            const synth::Implementation& impl, std::uint64_t runCycles,
+            FadesOptions options = {});
 
   bool supports(FaultModel) const { return true; }
 
@@ -134,12 +134,10 @@ class FadesTool {
   /// annotations (rtl::Builder unit tags survive synthesis onto every site).
   Unit targetUnit(TargetClass cls, std::uint32_t target) const;
 
-  CampaignResult runCampaign(const CampaignSpec& spec);
-
   /// The spec's target pool: its explicit pool when set, otherwise the full
   /// enumeration. Deterministic per implementation, so every device replica
   /// of a sharded campaign sees the same pool.
-  std::vector<std::uint32_t> campaignPool(const CampaignSpec& spec) const;
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
 
   /// Run campaign experiment `index` of `spec` against `pool`. A pure
   /// function of (spec, pool, index, rerun): the experiment's random stream
@@ -147,11 +145,10 @@ class FadesTool {
   /// fault sites redraw from per-attempt streams. `rerun` counts
   /// experiment-level retries after transient errors; it only reseeds the
   /// link fault stream, so a retried experiment faces fresh link faults but
-  /// computes the identical result. Both the serial runCampaign loop and
-  /// the sharded runner execute experiments through this one path.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// computes the identical result.
+  campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun = 0);
+      unsigned index, unsigned rerun) override;
 
   /// Materialize the outcome of experiment `index` from its fades.prune/1
   /// class representative without touching the device: replays the
@@ -159,15 +156,16 @@ class FadesTool {
   /// duration) and clones the measured fields (outcome, costs, detect
   /// cycle) from `representative`. Only valid for experiments a PrunePlan
   /// proved equivalent to the representative.
-  campaign::ExperimentOutcome synthesizeCampaignExperiment(
+  campaign::ExperimentOutcome synthesizeOutcome(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative);
+      unsigned index, const campaign::ExperimentOutcome& representative)
+      override;
 
   /// Recover from a link failure that may have abandoned a reconfiguration
   /// session mid-write: drop the wedged session and re-download the full
   /// configuration file on a quiet link (fault model suspended, meter reset
   /// afterwards), the way a real host re-initializes a flaky board.
-  void recoverLink();
+  void recover() override;
 
   /// `detectCycleOut`, when non-null, receives the first cycle whose
   /// observed outputs diverge from the golden run (-1 if they never do) -
@@ -206,6 +204,10 @@ class FadesTool {
 
  private:
   friend class PermanentFaults;  // the future-work extension shares the rig
+
+  FadesTool(std::unique_ptr<fpga::Device> owned, fpga::Device* device,
+            const synth::Implementation& impl, std::uint64_t runCycles,
+            FadesOptions options);
 
   // Injection state carried from inject to removal.
   struct ActiveFault {
@@ -253,6 +255,7 @@ class FadesTool {
   void chargeExperimentBaseline();
   double meterSeconds() const;
 
+  std::unique_ptr<fpga::Device> ownedDevice_;  // replicas only
   fpga::Device& dev_;
   const synth::Implementation& impl_;
   std::uint64_t runCycles_;
@@ -280,36 +283,9 @@ class FadesTool {
   obs::Histogram& modeledSecondsHist_;
 };
 
-/// One worker's FADES replica for sharded campaigns: a private simulated
-/// device configured from the shared (immutable) implementation, plus the
-/// tool driving it. Each replica pays the one-time setup - bitstream
-/// download and golden run - in its own thread.
-class FadesCampaignEngine final : public campaign::CampaignEngine {
- public:
-  FadesCampaignEngine(const synth::Implementation& impl,
-                      std::uint64_t runCycles, FadesOptions options,
-                      const fpga::DeviceSpec& deviceSpec);
-
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  campaign::ExperimentOutcome synthesizeOutcome(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative)
-      override;
-  void recover() override;
-
-  FadesTool& tool() { return *tool_; }
-
- private:
-  fpga::Device device_;
-  std::unique_ptr<FadesTool> tool_;
-};
-
 /// Engine factory for campaign::ParallelCampaignRunner: every call builds a
-/// fresh Device + FadesTool replica. `impl` is captured by reference and
-/// must outlive the runner. `deviceSpec` overrides the implementation's
+/// fresh FadesTool replica on its own device. `impl` is captured by
+/// reference and must outlive the runner. `deviceSpec` overrides the implementation's
 /// device spec (e.g. a delay-calibrated clock period); pass nothing to use
 /// impl.spec.
 campaign::EngineFactory fadesEngineFactory(

@@ -147,7 +147,6 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
   core::FadesOptions fOpt;
   fOpt.observedOutputs = observedOutputs(c);
   fOpt.keepRecords = true;
-  fOpt.progressInterval = 0;
   core::FadesTool fades(device, impl, c.runCycles, fOpt);
 
   vfit::VfitOptions vOpt;
@@ -237,7 +236,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
     fPool = aligned.fades;
   } else {
     try {
-      fPool = fades.campaignPool(c.inject);
+      fPool = fades.enumeratePool(c.inject);
     } catch (const common::FadesError& e) {
       if (e.kind() != common::ErrorKind::InjectionError) throw;
       rep.experiments = 0;
@@ -249,7 +248,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
   std::vector<campaign::ExperimentOutcome> fOut;
   fOut.reserve(c.inject.experiments);
   for (unsigned e = 0; e < c.inject.experiments; ++e) {
-    fOut.push_back(fades.runCampaignExperiment(c.inject, fPool, e));
+    fOut.push_back(fades.runExperimentAt(c.inject, fPool, e, 0));
   }
   const double expectedWorkload =
       static_cast<double>(c.runCycles) / fOpt.fpgaClockHz;
@@ -301,7 +300,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
     if (exact && aligned.ok) vSpec.targetPool = aligned.vfit;
     bool ran = true;
     try {
-      vres = vfit.runCampaign(vSpec);
+      vres = campaign::runCampaign(vfit, vSpec);
     } catch (const common::FadesError& err) {
       // "No VFIT targets" is a tool limitation (the HDL view may simply have
       // no named signal of the requested class), not a disagreement.
@@ -363,7 +362,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
     std::vector<std::uint32_t> aPool;
     bool ran = true;
     try {
-      aPool = autonomous->campaignPool(aSpec);
+      aPool = autonomous->enumeratePool(aSpec);
     } catch (const common::FadesError& err) {
       if (err.kind() != common::ErrorKind::InjectionError) throw;
       ran = false;
@@ -373,7 +372,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
       std::vector<campaign::ExperimentOutcome> aOut;
       aOut.reserve(c.inject.experiments);
       for (unsigned e = 0; e < c.inject.experiments; ++e) {
-        aOut.push_back(autonomous->runCampaignExperiment(aSpec, aPool, e));
+        aOut.push_back(autonomous->runExperimentAt(aSpec, aPool, e, 0));
       }
       const double aWorkload =
           static_cast<double>(c.runCycles) / aOpt.fpgaClockHz;
@@ -428,7 +427,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
         }
       }
       if (opt.checkDeterminism && !aOut.empty()) {
-        const auto again = autonomous->runCampaignExperiment(aSpec, aPool, 0);
+        const auto again = autonomous->runExperimentAt(aSpec, aPool, 0, 0);
         if (!sameOutcome(aOut[0], again)) {
           fail("run.deterministic",
                "autonomous experiment 0 re-run diverged: outcome " +
@@ -443,7 +442,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
 
   // --- determinism: replaying an experiment is bit-identical ---------------
   if (opt.checkDeterminism && !fOut.empty()) {
-    const auto again = fades.runCampaignExperiment(c.inject, fPool, 0);
+    const auto again = fades.runExperimentAt(c.inject, fPool, 0, 0);
     if (!sameOutcome(fOut[0], again)) {
       fail("run.deterministic",
            "experiment 0 re-run diverged: outcome " +
@@ -465,7 +464,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
     nOpt.linkFaults.readCrcRate = 0.01;
     nOpt.linkFaults.writeFailRate = 0.01;
     core::FadesTool noisy(noisyDevice, impl, c.runCycles, nOpt);
-    const auto faulted = noisy.runCampaignExperiment(c.inject, fPool, 0);
+    const auto faulted = noisy.runExperimentAt(c.inject, fPool, 0, 0);
     if (!faulted.quarantined && !sameOutcome(fOut[0], faulted)) {
       fail("retry.exclusion",
            "link faults changed experiment 0: outcome " +

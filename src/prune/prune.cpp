@@ -83,7 +83,7 @@ TargetDecoder vfitDecoder(const Netlist& netlist, TargetClass cls) {
         return s;
       };
     case TargetClass::MemoryBlockBit:
-      // Handle layout from VfitTool::campaignPool: (ram << 24) | (row << 8)
+      // Handle layout from VfitTool::enumeratePool: (ram << 24) | (row << 8)
       // | bit.
       return [](std::uint32_t handle) {
         TargetSite s;
@@ -465,8 +465,8 @@ PrunePlan buildPlan(const CampaignSpec& spec,
   };
 
   for (unsigned i = 0; i < spec.experiments; ++i) {
-    // Replicate the campaign draw order exactly (FadesTool::
-    // runCampaignExperiment attempt 0 == VfitTool::planExperiment): target,
+    // Replicate the campaign draw order exactly (FadesTool::runExperimentAt
+    // attempt 0 == VfitTool::planExperiment): target,
     // instant, duration, then the sub-cycle sampling draw. Supported target
     // kinds never redraw, so attempt 0 is the experiment.
     common::Rng erng(common::streamSeed(spec.seed, std::uint64_t{i} * 131));

@@ -281,7 +281,6 @@ std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
     options.observedOutputs = observed;
     options.keepRecords = job.keepRecords;
     options.sessionFrameCache = knobs.sessionFrameCache;
-    options.progressInterval = 0;
     options.instructionTrace = std::move(trace);
     if (job.linkFaultRate > 0.0) {
       options.linkFaults.readCrcRate = job.linkFaultRate;
@@ -318,10 +317,9 @@ campaign::PrunePlan buildPrunePlan(const CampaignSystem& sys) {
           "engine factory returned null");
   const auto pool = engine->enumeratePool(job.spec);
   if (job.tool == "fades") {
-    auto* fades = static_cast<core::FadesCampaignEngine*>(engine.get());
     in.decode = prune::fadesDecoder(*sys.impl, job.spec.targets);
-    in.name = [tool = &fades->tool(), cls = job.spec.targets](
-                  std::uint32_t handle) {
+    in.name = [tool = static_cast<core::FadesTool*>(engine.get()),
+               cls = job.spec.targets](std::uint32_t handle) {
       return tool->targetName(cls, handle);
     };
   } else {

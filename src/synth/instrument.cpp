@@ -271,10 +271,11 @@ AutonomousModel instrumentAutonomous(const Netlist& source,
     const auto& ram = nl.rams()[r];
     if (ram.isRom()) continue;
     const GateId weGate = nl.addGate(GateOp::And, ram.writeEnable, capture);
+    // Before addRam: it may reallocate rams() and leave `ram` dangling.
+    out.shadowRamBits += ram.depth() * ram.dataBits;
     nl.addRam(ram.addrBits, ram.dataBits, ram.addr, ram.dataIn,
               nl.gate(weGate).out, ram.init, Unit::None,
               ram.name + ".shadow");
-    out.shadowRamBits += ram.depth() * ram.dataBits;
   }
 
   out.addedGates = nl.gateCount() - gatesBefore;

@@ -1,12 +1,9 @@
 #include "vfit/vfit.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fades::vfit {
 
@@ -230,8 +227,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   return campaign::classify(golden_, faulty);
 }
 
-std::vector<std::uint32_t> VfitTool::campaignPool(
-    const CampaignSpec& spec) const {
+std::vector<std::uint32_t> VfitTool::enumeratePool(
+    const CampaignSpec& spec) {
   const auto unit = static_cast<Unit>(spec.unit);
 
   // Enumerate targets up front (the fault-location process).
@@ -300,7 +297,7 @@ Unit VfitTool::targetUnit(const CampaignSpec& spec,
 VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
                                             std::span<const std::uint32_t> pool,
                                             unsigned index) const {
-  // Replicates the serial path's draw order exactly: the campaign loop's
+  // Replicates the event-driven path's draw order exactly: runExperimentAt's
   // target / instant / duration, then runExperiment's effective-cycle and
   // indetermination draws, all from the same per-experiment stream.
   LanePlan p;
@@ -369,9 +366,9 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
   return out;
 }
 
-campaign::ExperimentOutcome VfitTool::runCampaignExperiment(
+campaign::ExperimentOutcome VfitTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index) {
+    unsigned index, unsigned /*rerun*/) {
   // Same stream derivation as the FADES campaign loop so that identical
   // specs over identical pools draw identical faults in both tools.
   Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
@@ -388,9 +385,9 @@ campaign::ExperimentOutcome VfitTool::runCampaignExperiment(
   return makeOutcome(spec, plan, o);
 }
 
-campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
+campaign::ExperimentOutcome VfitTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) const {
+    unsigned index, const campaign::ExperimentOutcome& representative) {
   // Costs come from this experiment's OWN plan - VFIT's cost model is a
   // pure function of (target, instant, window) - so only the behavioral
   // outcome is cloned from the representative.
@@ -404,11 +401,16 @@ campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
   return out;
 }
 
-std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
+unsigned VfitTool::waveWidth() const {
+  return opt_.engine == sim::EngineKind::Compiled ? kWaveExperiments : 1;
+}
+
+std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices) {
-  require(csim_ != nullptr, ErrorKind::InvalidArgument,
-          "runCampaignWave needs VfitOptions::engine == Compiled");
+    std::span<const unsigned> indices, unsigned rerun) {
+  if (csim_ == nullptr) {
+    return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
+  }
   require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
   require(supports(spec.model), ErrorKind::InjectionError,
@@ -453,7 +455,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
           }
           break;
         case FaultModel::Pulse:
-          // The per-cycle release + force(!value) loop of the serial path
+          // The per-cycle release + force(!value) loop of the event path
           // is, observably, a persistent inversion across the window.
           if (p.window != 0) {
             if (c == p.injectCycle) {
@@ -544,92 +546,11 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
   return out;
 }
 
-CampaignResult VfitTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> targets = campaignPool(spec);
-
-  obs::Span campaignSpan{opt_.metricsPrefix + ".campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)},
-                          {"engine", sim::toString(opt_.engine)}}};
-  CampaignResult result;
-  result.spec = spec;
-  auto note = [&](unsigned done) {
-    if (done % 100 == 0 || done == spec.experiments) {
-      FADES_LOG(Debug) << "vfit campaign progress" << obs::kv("done", done)
-                       << obs::kv("total", spec.experiments)
-                       << obs::kv("failures", result.failures);
-    }
-  };
-  if (opt_.engine == sim::EngineKind::Compiled) {
-    std::vector<unsigned> indices;
-    for (unsigned first = 0; first < spec.experiments;
-         first += kWaveExperiments) {
-      const unsigned count =
-          std::min(kWaveExperiments, spec.experiments - first);
-      indices.resize(count);
-      std::iota(indices.begin(), indices.end(), first);
-      for (auto& o : runCampaignWave(spec, targets, indices)) {
-        result.fold(o);
-        note(static_cast<unsigned>(o.index) + 1);
-      }
-    }
-  } else {
-    for (unsigned e = 0; e < spec.experiments; ++e) {
-      result.fold(runCampaignExperiment(spec, targets, e));
-      note(e + 1);
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// VfitCampaignEngine
-// ---------------------------------------------------------------------------
-
-VfitCampaignEngine::VfitCampaignEngine(const Netlist& netlist,
-                                       std::uint64_t runCycles,
-                                       VfitOptions options)
-    : tool_(netlist, runCycles, std::move(options)) {}
-
-std::vector<std::uint32_t> VfitCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_.campaignPool(spec);
-}
-
-campaign::ExperimentOutcome VfitCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  // No link model on the simulator side: reruns replay identically.
-  (void)rerun;
-  return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-unsigned VfitCampaignEngine::waveWidth() const {
-  return tool_.engine() == sim::EngineKind::Compiled
-             ? VfitTool::kWaveExperiments
-             : 1;
-}
-
-std::vector<campaign::ExperimentOutcome> VfitCampaignEngine::runWaveAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
-  if (tool_.engine() == sim::EngineKind::Compiled) {
-    return tool_.runCampaignWave(spec, pool, indices);
-  }
-  return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
-}
-
-campaign::ExperimentOutcome VfitCampaignEngine::synthesizeOutcome(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) {
-  return tool_.synthesizeCampaignExperiment(spec, pool, index, representative);
-}
-
 campaign::EngineFactory vfitEngineFactory(const Netlist& netlist,
                                           std::uint64_t runCycles,
                                           VfitOptions options) {
   return [&netlist, runCycles, options] {
-    return std::make_unique<VfitCampaignEngine>(netlist, runCycles, options);
+    return std::make_unique<VfitTool>(netlist, runCycles, options);
   };
 }
 

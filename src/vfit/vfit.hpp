@@ -73,7 +73,11 @@ struct VfitOptions {
   std::string metricsPrefix = "vfit";
 };
 
-class VfitTool {
+/// The VFIT injector, and its own campaign engine: with the compiled engine
+/// selected it leases whole waves (waveWidth() = 63) and runs them
+/// bit-parallel; outcomes stay bit-identical to the event-driven engine at
+/// any --jobs.
+class VfitTool final : public campaign::CampaignEngine {
  public:
   /// The netlist is the HDL model; runCycles is the workload length.
   VfitTool(const Netlist& netlist, std::uint64_t runCycles,
@@ -88,36 +92,35 @@ class VfitTool {
   std::vector<NetId> signalTargets(Unit unit) const;
   std::vector<RamId> ramTargets() const;
 
-  CampaignResult runCampaign(const CampaignSpec& spec);
-
   /// Deterministic target enumeration for a spec (the fault-location
-  /// process); shared by the serial loop, the parallel runner and the
-  /// bit-parallel wave path.
-  std::vector<std::uint32_t> campaignPool(const CampaignSpec& spec) const;
+  /// process); shared by the campaign runner and the bit-parallel wave path.
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index),
-  /// on the event-driven engine. This is the per-index unit the parallel
-  /// runner shards and the reference the compiled wave path must match
-  /// field-for-field.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// on the event-driven engine. This is the per-index unit the runner
+  /// shards and the reference the compiled wave path must match
+  /// field-for-field. No link model on the simulator side: `rerun` is
+  /// ignored, reruns replay identically.
+  campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index);
+      unsigned index, unsigned rerun) override;
 
   /// Experiments per compiled wave: 63 faulty lanes; lane 0 stays golden
   /// and is checked against the event-driven golden run every wave.
   static constexpr unsigned kWaveExperiments =
       sim::CompiledSimulator::kLanes - 1;
 
+  /// kWaveExperiments on the compiled engine, 1 on the event-driven one.
+  unsigned waveWidth() const override;
+
   /// Run the experiments named by `indices` (at most kWaveExperiments) in
   /// one bit-parallel pass on the compiled engine. Lane assignment is
   /// irrelevant to the result - lanes are independent machines - so partial
-  /// waves and arbitrary index subsets return exactly what
-  /// runCampaignExperiment returns per index. Requires engine == Compiled.
-  std::vector<campaign::ExperimentOutcome> runCampaignWave(
+  /// waves and arbitrary index subsets return exactly what runExperimentAt
+  /// returns per index. The event-driven engine runs them one by one.
+  std::vector<campaign::ExperimentOutcome> runWaveAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices);
-
-  sim::EngineKind engine() const { return opt_.engine; }
+      std::span<const unsigned> indices, unsigned rerun) override;
 
   /// Single experiment; exposed for tests. `commandsOut` reports how many
   /// simulator commands (force / release / deposit) the injection issued.
@@ -130,8 +133,8 @@ class VfitTool {
   const Observation& golden() const { return golden_; }
   double goldenModelSeconds() const { return goldenSeconds_; }
 
-  /// Pre-drawn fault script of one experiment: every random draw of the
-  /// serial loop + runExperiment, in the identical order, so the wave path
+  /// Pre-drawn fault script of one experiment: every random draw of
+  /// runExperimentAt, in the identical order, so the wave path
   /// consumes the per-experiment RNG stream exactly as the event-driven
   /// path does. Public because the autonomous backend re-meters the same
   /// plan (command count, window) under its own cost model.
@@ -152,9 +155,10 @@ class VfitTool {
   /// representative without simulating: the cost model is a pure function
   /// of the experiment's own plan (re-derived here), and the behavioral
   /// outcome is cloned from the representative the plan proved equivalent.
-  campaign::ExperimentOutcome synthesizeCampaignExperiment(
+  campaign::ExperimentOutcome synthesizeOutcome(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative) const;
+      unsigned index, const campaign::ExperimentOutcome& representative)
+      override;
 
  private:
   Unit targetUnit(const CampaignSpec& spec, std::uint32_t target) const;
@@ -180,35 +184,6 @@ class VfitTool {
   std::vector<sim::Snapshot> checkpoints_;  // every checkpointInterval cycles
   std::uint64_t goldenEvents_ = 0;
   double goldenSeconds_ = 0;
-};
-
-/// One worker's VFIT replica for the sharded campaign runner - the
-/// simulator-side counterpart of FadesCampaignEngine. With the compiled
-/// engine selected it leases whole waves (waveWidth() = 63) and runs them
-/// bit-parallel; outcomes stay bit-identical to the event-driven engine at
-/// any --jobs.
-class VfitCampaignEngine final : public campaign::CampaignEngine {
- public:
-  VfitCampaignEngine(const Netlist& netlist, std::uint64_t runCycles,
-                     VfitOptions options);
-
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override;
-  std::vector<campaign::ExperimentOutcome> runWaveAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices, unsigned rerun) override;
-  campaign::ExperimentOutcome synthesizeOutcome(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative)
-      override;
-
-  VfitTool& tool() { return tool_; }
-
- private:
-  VfitTool tool_;
 };
 
 /// Factory for the parallel campaign runner: every worker gets its own

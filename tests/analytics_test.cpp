@@ -84,7 +84,6 @@ core::FadesOptions miniOptions() {
   core::FadesOptions o;
   o.observedOutputs = {"out"};
   o.keepRecords = true;
-  o.progressInterval = 0;
   return o;
 }
 
@@ -437,7 +436,6 @@ TEST(Analytics, BubblesortCampaignRanksComponentsWithPcAttribution) {
 
   core::FadesOptions options;
   options.keepRecords = true;
-  options.progressInterval = 0;
   {
     mc8051::Iss iss(workload.bytes);
     const auto samples = iss.tracePcPerCycle(workload.cycles);
@@ -460,10 +458,10 @@ TEST(Analytics, BubblesortCampaignRanksComponentsWithPcAttribution) {
   spec.band = DurationBand::shortBand();
   spec.experiments = 48;
   spec.seed = 2006;
-  const auto ffResult = tool.runCampaign(spec);
+  const auto ffResult = campaign::runCampaign(tool, spec);
   spec.targets = TargetClass::MemoryBlockBit;
   spec.experiments = 16;
-  const auto ramResult = tool.runCampaign(spec);
+  const auto ramResult = campaign::runCampaign(tool, spec);
 
   std::vector<CampaignInput> inputs(2);
   inputs[0].schema = "fades.run/1";

@@ -86,15 +86,15 @@ TEST(AutonomousEquivalence, RandomDesignsMatchVfitAcrossMatrix) {
       spec.model = m.model;
       spec.targets = m.targets;
 
-      const auto vPool = vfit.campaignPool(spec);
-      const auto aPool = aut.campaignPool(spec);
+      const auto vPool = vfit.enumeratePool(spec);
+      const auto aPool = aut.enumeratePool(spec);
       ASSERT_EQ(vPool, aPool) << "pools diverge, seed " << seed;
 
       const double expectedWorkload =
           static_cast<double>(c.runCycles) / aOpt.fpgaClockHz;
       for (unsigned e = 0; e < spec.experiments; ++e) {
-        const auto v = vfit.runCampaignExperiment(spec, vPool, e);
-        const auto a = aut.runCampaignExperiment(spec, aPool, e);
+        const auto v = vfit.runExperimentAt(spec, vPool, e, 0);
+        const auto a = aut.runExperimentAt(spec, aPool, e, 0);
         const auto tag = std::string(campaign::toString(m.model)) + "/" +
                          campaign::toString(m.targets) + " seed " +
                          std::to_string(seed) + " exp " + std::to_string(e);
@@ -144,11 +144,15 @@ TEST(AutonomousEquivalence, JobsAndEngineArtifactInvariance) {
   std::vector<std::string> artifacts;
   for (const auto engine :
        {sim::EngineKind::EventDriven, sim::EngineKind::Compiled}) {
-    for (const unsigned jobs : {1u, 8u}) {
-      core::AutonomousOptions opt;
-      opt.observedOutputs = diffcheck::observedOutputs(c);
-      opt.keepRecords = true;
-      opt.engine = engine;
+    core::AutonomousOptions opt;
+    opt.observedOutputs = diffcheck::observedOutputs(c);
+    opt.keepRecords = true;
+    opt.engine = engine;
+    // A caller-owned tool, twice in a row, then the runner at 1/4/8 jobs.
+    core::AutonomousTool tool(nl, c.runCycles, opt);
+    artifacts.push_back(artifactString(campaign::runCampaign(tool, spec)));
+    artifacts.push_back(artifactString(campaign::runCampaign(tool, spec)));
+    for (const unsigned jobs : {1u, 4u, 8u}) {
       campaign::ParallelOptions popt;
       popt.jobs = jobs;
       campaign::ParallelCampaignRunner runner(
@@ -188,8 +192,8 @@ TEST(AutonomousEquivalence, Mc8051BubblesortMatchesVfit) {
     spec.experiments = 16;
     spec.seed = 2006;
 
-    const auto vres = vfit.runCampaign(spec);
-    const auto ares = aut.runCampaign(spec);
+    const auto vres = campaign::runCampaign(vfit, spec);
+    const auto ares = campaign::runCampaign(aut, spec);
     EXPECT_EQ(vres.failures, ares.failures);
     EXPECT_EQ(vres.latents, ares.latents);
     EXPECT_EQ(vres.silents, ares.silents);

@@ -340,13 +340,13 @@ void expectCacheEquivalence(FadesOptions base, FaultModel model,
   spec.unit = static_cast<int>(unit);
   spec.seed = 7;
   spec.experiments = experiments;
-  const auto poolOn = toolOn.campaignPool(spec);
-  const auto poolOff = toolOff.campaignPool(spec);
+  const auto poolOn = toolOn.enumeratePool(spec);
+  const auto poolOff = toolOff.enumeratePool(spec);
   ASSERT_EQ(poolOn, poolOff);
 
   for (unsigned e = 0; e < experiments; ++e) {
-    const auto a = toolOn.runCampaignExperiment(spec, poolOn, e);
-    const auto b = toolOff.runCampaignExperiment(spec, poolOff, e);
+    const auto a = toolOn.runExperimentAt(spec, poolOn, e, 0);
+    const auto b = toolOff.runExperimentAt(spec, poolOff, e, 0);
     SCOPED_TRACE("experiment " + std::to_string(e));
     EXPECT_EQ(a.outcome, b.outcome);
     // Bit-identical, not approximately equal: the meters match exactly, so

@@ -5,7 +5,7 @@
 //     under random scalar fault commands (force / release / deposit), driven
 //     through the abstract Engine interface;
 //   * campaign experiments field-for-field across the fault-model x
-//     target-class matrix (runCampaignWave vs runCampaignExperiment);
+//     target-class matrix (runWaveAt vs runExperimentAt);
 //   * whole-campaign artifact string equality across engines, wave
 //     boundaries, --jobs counts and checkpoint spacing;
 //   * the MC8051 + Bubblesort workload, FF and RAM campaigns.
@@ -207,14 +207,14 @@ TEST(CompiledEquivalence, CampaignExperimentsFieldForFieldAcrossMatrix) {
       spec.band = band;
       spec.experiments = 30;
       spec.seed = 77;
-      const auto pool = tool.campaignPool(spec);
+      const auto pool = tool.enumeratePool(spec);
 
       std::vector<unsigned> indices(spec.experiments);
       for (unsigned i = 0; i < spec.experiments; ++i) indices[i] = i;
-      const auto wave = tool.runCampaignWave(spec, pool, indices);
+      const auto wave = tool.runWaveAt(spec, pool, indices, 0);
       ASSERT_EQ(wave.size(), spec.experiments);
       for (unsigned i = 0; i < spec.experiments; ++i) {
-        const auto serial = tool.runCampaignExperiment(spec, pool, i);
+        const auto serial = tool.runExperimentAt(spec, pool, i, 0);
         expectOutcomeEq(wave[i], serial,
                         std::string(campaign::toString(mc.model)) + "/" +
                             campaign::toString(mc.targets) + "/" + band.label);
@@ -238,22 +238,22 @@ TEST(CompiledEquivalence, PartialWavesAndSubsetsMatchFullWaves) {
   spec.targets = TargetClass::CombinationalLut;
   spec.experiments = 63;
   spec.seed = 5;
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
 
   std::vector<unsigned> all(63);
   for (unsigned i = 0; i < 63; ++i) all[i] = i;
-  const auto full = tool.runCampaignWave(spec, pool, all);
+  const auto full = tool.runWaveAt(spec, pool, all, 0);
 
   // Singleton waves.
   for (unsigned i : {0u, 17u, 62u}) {
     const std::vector<unsigned> one{i};
-    const auto got = tool.runCampaignWave(spec, pool, one);
+    const auto got = tool.runWaveAt(spec, pool, one, 0);
     ASSERT_EQ(got.size(), 1u);
     expectOutcomeEq(got[0], full[i], "singleton wave");
   }
   // A sparse subset (resume-gap shape).
   const std::vector<unsigned> sparse{3, 4, 9, 40, 41, 60};
-  const auto got = tool.runCampaignWave(spec, pool, sparse);
+  const auto got = tool.runWaveAt(spec, pool, sparse, 0);
   ASSERT_EQ(got.size(), sparse.size());
   for (std::size_t k = 0; k < sparse.size(); ++k) {
     expectOutcomeEq(got[k], full[sparse[k]], "sparse wave");
@@ -289,15 +289,15 @@ TEST(CompiledEquivalence, WaveBoundarySweepArtifactsIdentical) {
     cp.engine = sim::EngineKind::Compiled;
     vfit::VfitTool cpTool(nl, 120, cp);
 
-    EXPECT_EQ(artifactString(evTool.runCampaign(spec)),
-              artifactString(cpTool.runCampaign(spec)))
+    EXPECT_EQ(artifactString(campaign::runCampaign(evTool, spec)),
+              artifactString(campaign::runCampaign(cpTool, spec)))
         << n << " experiments";
   }
 }
 
 TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
-  // Through the sharded runner: engines x jobs x checkpoint spacing all
-  // produce one artifact string.
+  // Engines x (caller-owned tool, run twice | runner at 1/4/8 jobs) x
+  // checkpoint spacing all produce one artifact string.
   const Netlist nl = campaignDesign();
   CampaignSpec spec;
   spec.model = FaultModel::Pulse;
@@ -308,13 +308,16 @@ TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
   std::vector<std::string> artifacts;
   for (const auto engine :
        {sim::EngineKind::EventDriven, sim::EngineKind::Compiled}) {
-    for (const unsigned jobs : {1u, 8u}) {
-      for (const unsigned ck : {32u, 128u}) {
-        vfit::VfitOptions opt;
-        opt.observedOutputs = {"out"};
-        opt.keepRecords = true;
-        opt.engine = engine;
-        opt.checkpointInterval = ck;
+    for (const unsigned ck : {32u, 128u}) {
+      vfit::VfitOptions opt;
+      opt.observedOutputs = {"out"};
+      opt.keepRecords = true;
+      opt.engine = engine;
+      opt.checkpointInterval = ck;
+      vfit::VfitTool tool(nl, 120, opt);
+      artifacts.push_back(artifactString(campaign::runCampaign(tool, spec)));
+      artifacts.push_back(artifactString(campaign::runCampaign(tool, spec)));
+      for (const unsigned jobs : {1u, 4u, 8u}) {
         campaign::ParallelOptions popt;
         popt.jobs = jobs;
         campaign::ParallelCampaignRunner runner(
@@ -353,8 +356,8 @@ TEST(CompiledEquivalence, Mc8051BubblesortFfAndRamCampaigns) {
     spec.targets = targets;
     spec.experiments = 40;
     spec.seed = 2006;
-    EXPECT_EQ(artifactString(evTool.runCampaign(spec)),
-              artifactString(cpTool.runCampaign(spec)))
+    EXPECT_EQ(artifactString(campaign::runCampaign(evTool, spec)),
+              artifactString(campaign::runCampaign(cpTool, spec)))
         << campaign::toString(targets);
   }
 }

@@ -91,7 +91,6 @@ FadesOptions baseOptions() {
   FadesOptions o;
   o.observedOutputs = {"out"};
   o.keepRecords = true;
-  o.progressInterval = 0;
   return o;
 }
 
@@ -194,15 +193,15 @@ std::uint64_t compareExperiments(const CampaignSpec& spec,
                                  const FadesOptions& opt) {
   Rig fast(withInterval(opt, true));
   Rig full(withInterval(opt, false));
-  const auto pool = fast.tool.campaignPool(spec);
-  EXPECT_EQ(pool, full.tool.campaignPool(spec));
+  const auto pool = fast.tool.enumeratePool(spec);
+  EXPECT_EQ(pool, full.tool.enumeratePool(spec));
   std::uint64_t exits = 0;
   for (unsigned e = 0; e < spec.experiments; ++e) {
     const std::uint64_t before = earlyExits().value();
-    const auto a = fast.tool.runCampaignExperiment(spec, pool, e);
+    const auto a = fast.tool.runExperimentAt(spec, pool, e, 0);
     exits += earlyExits().value() - before;
     const std::uint64_t mid = earlyExits().value();
-    const auto b = full.tool.runCampaignExperiment(spec, pool, e);
+    const auto b = full.tool.runExperimentAt(spec, pool, e, 0);
     EXPECT_EQ(earlyExits().value(), mid) << "reference run exited early";
     expectOutcomeEq(a, b);
   }
@@ -321,10 +320,10 @@ TEST(EarlyExitEquivalence, SerialRunCampaign) {
   Rig fast(withInterval(baseOptions(), true));
   Rig full(withInterval(baseOptions(), false));
   const std::uint64_t before = earlyExits().value();
-  const auto a = fast.tool.runCampaign(spec);
+  const auto a = campaign::runCampaign(fast.tool, spec);
   EXPECT_GT(earlyExits().value(), before);
   const std::uint64_t mid = earlyExits().value();
-  const auto b = full.tool.runCampaign(spec);
+  const auto b = campaign::runCampaign(full.tool, spec);
   EXPECT_EQ(earlyExits().value(), mid);
   expectResultEq(a, b);
 }
@@ -366,9 +365,9 @@ TEST(EarlyExitEquivalence, UnreliableLink) {
   Rig fast(withInterval(opt, true));
   Rig full(withInterval(opt, false));
   const std::uint64_t before = earlyExits().value();
-  const auto a = fast.tool.runCampaign(spec);
+  const auto a = campaign::runCampaign(fast.tool, spec);
   EXPECT_GT(earlyExits().value(), before);
-  const auto b = full.tool.runCampaign(spec);
+  const auto b = campaign::runCampaign(full.tool, spec);
   expectResultEq(a, b);
 }
 
@@ -463,9 +462,9 @@ TEST(EarlyExitCounters, LogicPlaneOffTheGoldenBitstreamBlocksTheExit) {
 
 TEST(EarlyExitCounters, StayOutOfTheRunArtifact) {
   Rig rig(withInterval(baseOptions(), true));
-  const auto result = rig.tool.runCampaign(
-      makeSpec(FaultModel::BitFlip, TargetClass::SequentialFF,
-               DurationBand::shortBand(), 20, 23));
+  const auto result = campaign::runCampaign(
+      rig.tool, makeSpec(FaultModel::BitFlip, TargetClass::SequentialFF,
+                         DurationBand::shortBand(), 20, 23));
   ASSERT_GT(cyclesExecuted().value(), 0u);
   const std::string written =
       campaign::toRunArtifact(result, "x", /*includeMetrics=*/false)

@@ -247,8 +247,8 @@ TEST(Vfit, CampaignIsDeterministic) {
   spec.unit = static_cast<int>(Unit::Registers);
   spec.experiments = 40;
   spec.seed = 77;
-  const auto r1 = tool.runCampaign(spec);
-  const auto r2 = tool.runCampaign(spec);
+  const auto r1 = campaign::runCampaign(tool, spec);
+  const auto r2 = campaign::runCampaign(tool, spec);
   EXPECT_EQ(r1.failures, r2.failures);
   EXPECT_EQ(r1.latents, r2.latents);
   EXPECT_EQ(r1.silents, r2.silents);
@@ -433,8 +433,8 @@ TEST(Fades, CampaignDeterministicAndComplete) {
   spec.band = DurationBand::shortBand();
   spec.experiments = 25;
   spec.seed = 99;
-  const auto r1 = rig.tool->runCampaign(spec);
-  const auto r2 = rig.tool->runCampaign(spec);
+  const auto r1 = campaign::runCampaign(*rig.tool, spec);
+  const auto r2 = campaign::runCampaign(*rig.tool, spec);
   EXPECT_EQ(r1.total(), 25u);
   EXPECT_EQ(r1.failures, r2.failures);
   EXPECT_EQ(r1.latents, r2.latents);

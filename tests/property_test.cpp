@@ -222,7 +222,6 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
     core::FadesOptions opt;
     opt.observedOutputs = {"out"};
     opt.keepRecords = true;
-    opt.progressInterval = 0;
     // The session frame cache is drawn independently for the serial and the
     // sharded run: results must be identical whichever side caches.
     opt.sessionFrameCache = rng.coin();
@@ -237,8 +236,8 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
 
     fpga::Device device(impl.spec);
     core::FadesTool tool(device, impl, cycles, opt);
-    if (tool.campaignPool(spec).empty()) continue;
-    const auto serial = tool.runCampaign(spec);
+    if (tool.enumeratePool(spec).empty()) continue;
+    const auto serial = campaign::runCampaign(tool, spec);
 
     campaign::ParallelOptions popt;
     popt.jobs = 2 + static_cast<unsigned>(rng.below(4));
@@ -301,7 +300,6 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
     core::FadesOptions clean;
     clean.observedOutputs = {"out"};
     clean.keepRecords = true;
-    clean.progressInterval = 0;
 
     CampaignSpec spec;
     spec.model = rng.coin() ? FaultModel::BitFlip : FaultModel::Pulse;
@@ -314,8 +312,8 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
 
     fpga::Device device(impl.spec);
     core::FadesTool tool(device, impl, cycles, clean);
-    if (tool.campaignPool(spec).empty()) continue;
-    const auto baseline = tool.runCampaign(spec);
+    if (tool.enumeratePool(spec).empty()) continue;
+    const auto baseline = campaign::runCampaign(tool, spec);
 
     // Modest rates with the default generous retry budget: every fault is
     // retried away, nothing quarantines.
@@ -332,7 +330,7 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
 
     fpga::Device faultyDevice(impl.spec);
     core::FadesTool faultyTool(faultyDevice, impl, cycles, faulty);
-    const auto serial = faultyTool.runCampaign(spec);
+    const auto serial = campaign::runCampaign(faultyTool, spec);
 
     campaign::ParallelOptions popt;
     popt.jobs = 2 + static_cast<unsigned>(rng.below(3));

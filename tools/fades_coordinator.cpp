@@ -24,11 +24,15 @@
 //     --fsync      fsync journals after every record
 //     --progress-interval N  campaign progress heartbeat every N
 //                  experiments (default 25)
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -56,13 +60,23 @@ void onSignal(int) { gStop = 1; }
   std::exit(2);
 }
 
-unsigned parseUnsigned(const char* text, const char* what) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    usageError((std::string(what) + " expects a number").c_str());
+/// Strict integer parse: digits only, within [min, max]. strtoul alone
+/// would accept "-1" as 4294967295 and let the caller's cast truncate or
+/// wrap an out-of-range value.
+unsigned long parseUnsigned(const char* text, const char* what,
+                            unsigned long min, unsigned long max) {
+  const std::string s = text;
+  const bool digits =
+      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  const unsigned long value = digits ? std::strtoul(text, nullptr, 10) : 0;
+  if (!digits || errno != 0 || value < min || value > max) {
+    usageError((std::string(what) + " expects an integer in [" +
+                std::to_string(min) + ", " + std::to_string(max) +
+                "], got '" + s + "'")
+                   .c_str());
   }
-  return static_cast<unsigned>(value);
+  return value;
 }
 
 }  // namespace
@@ -80,19 +94,24 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(parseUnsigned(value(), "--port"));
+      opt.port = static_cast<std::uint16_t>(
+          parseUnsigned(value(), "--port", 0, UINT16_MAX));
     } else if (a == "--port-file") {
       portFile = value();
     } else if (a == "--store") {
       opt.storeDir = value();
     } else if (a == "--block-size") {
-      opt.blockSize = parseUnsigned(value(), "--block-size");
+      opt.blockSize = static_cast<unsigned>(
+          parseUnsigned(value(), "--block-size", 1, UINT_MAX));
     } else if (a == "--lease-ms") {
-      opt.leaseMs = static_cast<int>(parseUnsigned(value(), "--lease-ms"));
+      opt.leaseMs =
+          static_cast<int>(parseUnsigned(value(), "--lease-ms", 1, INT_MAX));
     } else if (a == "--audit-every") {
-      opt.auditEvery = parseUnsigned(value(), "--audit-every");
+      opt.auditEvery = static_cast<unsigned>(
+          parseUnsigned(value(), "--audit-every", 0, UINT_MAX));
     } else if (a == "--progress-interval") {
-      opt.progressInterval = parseUnsigned(value(), "--progress-interval");
+      opt.progressInterval =
+          parseUnsigned(value(), "--progress-interval", 0, UINT_MAX);
     } else if (a == "--resume") {
       resume = true;
     } else if (a == "--once") {

@@ -16,6 +16,9 @@
 //     --tamper   lie about every outcome (byzantine-worker test mode: the
 //                experiments run honestly, the streamed results are
 //                falsified)
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,13 +41,22 @@ namespace {
   std::exit(2);
 }
 
-unsigned parseUnsigned(const char* text, const char* what) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    usageError(std::string(what) + " expects a number");
+/// Strict integer parse: digits only, within [min, max]. strtoul alone
+/// would accept "-1" as 4294967295 and let the caller's cast truncate or
+/// wrap an out-of-range value.
+unsigned long parseUnsigned(const char* text, const char* what,
+                            unsigned long min, unsigned long max) {
+  const std::string s = text;
+  const bool digits =
+      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  const unsigned long value = digits ? std::strtoul(text, nullptr, 10) : 0;
+  if (!digits || errno != 0 || value < min || value > max) {
+    usageError(std::string(what) + " expects an integer in [" +
+               std::to_string(min) + ", " + std::to_string(max) +
+               "], got '" + s + "'");
   }
-  return static_cast<unsigned>(value);
+  return value;
 }
 
 }  // namespace
@@ -59,18 +71,21 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(parseUnsigned(value(), "--port"));
+      opt.port = static_cast<std::uint16_t>(
+          parseUnsigned(value(), "--port", 1, UINT16_MAX));
     } else if (a == "--host") {
       opt.host = value();
     } else if (a == "--name") {
       opt.name = value();
     } else if (a == "--attempts") {
-      opt.experimentAttempts = parseUnsigned(value(), "--attempts");
+      opt.experimentAttempts = static_cast<unsigned>(
+          parseUnsigned(value(), "--attempts", 1, UINT_MAX));
     } else if (a == "--heartbeat-ms") {
-      opt.heartbeatMs =
-          static_cast<int>(parseUnsigned(value(), "--heartbeat-ms"));
+      opt.heartbeatMs = static_cast<int>(
+          parseUnsigned(value(), "--heartbeat-ms", 1, INT_MAX));
     } else if (a == "--max-reconnects") {
-      opt.maxReconnects = parseUnsigned(value(), "--max-reconnects");
+      opt.maxReconnects = static_cast<unsigned>(
+          parseUnsigned(value(), "--max-reconnects", 0, UINT_MAX));
     } else if (a == "--tamper") {
       tamper = true;
     } else {
