@@ -12,6 +12,42 @@ using common::ErrorKind;
 using common::require;
 using fpga::Plane;
 
+namespace {
+
+using BitUpdates = std::vector<std::pair<std::size_t, bool>>;
+
+void setFrameBit(std::vector<std::uint8_t>& bytes, std::size_t rel,
+                 bool value) {
+  const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
+  if (value) {
+    bytes[rel >> 3] |= mask;
+  } else {
+    bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
+  }
+}
+
+BitUpdates lutBits(const fpga::ConfigLayout& layout, CbCoord cb,
+                   std::uint16_t table) {
+  BitUpdates updates;
+  updates.reserve(16);
+  for (unsigned i = 0; i < 16; ++i) {
+    updates.emplace_back(layout.cbLutBit(cb, i), (table >> i) & 1u);
+  }
+  return updates;
+}
+
+BitUpdates cbFieldBits(const fpga::ConfigLayout& layout, CbCoord cb,
+                       std::span<const std::pair<CbField, bool>> fields) {
+  BitUpdates updates;
+  updates.reserve(fields.size());
+  for (const auto& [field, value] : fields) {
+    updates.emplace_back(layout.cbFieldBit(cb, field), value);
+  }
+  return updates;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Frame transaction shadow
 // ---------------------------------------------------------------------------
@@ -294,27 +330,7 @@ std::uint16_t ConfigPort::getLutTable(CbCoord cb) {
 }
 
 void ConfigPort::setLutTable(CbCoord cb, std::uint16_t table) {
-  const auto& layout = dev_.layout();
-  std::size_t bit = layout.cbLutBit(cb, 0);
-  unsigned k = 0;
-  while (k < 16) {
-    const FrameAddr f = layout.frameOfLogicBit(bit);
-    auto bytes = readLogicFrame(f);
-    const std::size_t first = layout.logicFrameFirstBit(f);
-    const unsigned inFrame = layout.logicFrameBitCount(f);
-    while (k < 16 && bit - first < inFrame) {
-      const std::size_t rel = bit - first;
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if ((table >> k) & 1u) {
-        bytes[rel >> 3] |= mask;
-      } else {
-        bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
-      ++k;
-      ++bit;
-    }
-    writeLogicFrame(f, bytes);
-  }
+  setLogicBits(lutBits(dev_.layout(), cb, table));
 }
 
 bool ConfigPort::getLogicBit(std::size_t addr) {
@@ -325,47 +341,39 @@ bool ConfigPort::getLogicBit(std::size_t addr) {
   return (bytes[rel >> 3] >> (rel & 7)) & 1u;
 }
 
-void ConfigPort::rmwLogicBit(std::size_t addr, bool value) {
-  const auto& layout = dev_.layout();
-  const FrameAddr f = layout.frameOfLogicBit(addr);
-  auto bytes = readLogicFrame(f);
-  const std::size_t rel = addr - layout.logicFrameFirstBit(f);
-  const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-  if (value) {
-    bytes[rel >> 3] |= mask;
-  } else {
-    bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-  }
-  writeLogicFrame(f, bytes);
-}
-
 void ConfigPort::setLogicBit(std::size_t addr, bool value) {
-  rmwLogicBit(addr, value);
+  const std::pair<std::size_t, bool> update[] = {{addr, value}};
+  setLogicBits(update);
 }
 
 unsigned ConfigPort::setLogicBits(
     std::span<const std::pair<std::size_t, bool>> updates) {
+  return writeLogicBits(updates, /*blind=*/false);
+}
+
+void ConfigPort::setLogicBitsBlind(
+    std::span<const std::pair<std::size_t, bool>> updates) {
+  writeLogicBits(updates, /*blind=*/true);
+}
+
+unsigned ConfigPort::writeLogicBits(
+    std::span<const std::pair<std::size_t, bool>> updates, bool blind) {
   const auto& layout = dev_.layout();
   // Group updates by frame so each frame is transferred exactly once.
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<std::pair<std::size_t, bool>>>
-      byFrame;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, BitUpdates> byFrame;
   for (const auto& u : updates) {
     const FrameAddr f = layout.frameOfLogicBit(u.first);
     byFrame[{f.major, f.minor}].push_back(u);
   }
   for (const auto& [key, list] : byFrame) {
     const FrameAddr f{Plane::Logic, key.first, key.second};
-    auto bytes = readLogicFrame(f);
+    // A blind write takes the frame from the host-side mirror (== device
+    // config, overlaid with any pending shadow writes of the open
+    // transaction) instead of reading it back.
+    auto bytes = blind ? mirrorLogicFrame(f) : readLogicFrame(f);
     const std::size_t first = layout.logicFrameFirstBit(f);
     for (const auto& [addr, value] : list) {
-      const std::size_t rel = addr - first;
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if (value) {
-        bytes[rel >> 3] |= mask;
-      } else {
-        bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
+      setFrameBit(bytes, addr - first, value);
     }
     writeLogicFrame(f, bytes);
   }
@@ -374,60 +382,16 @@ unsigned ConfigPort::setLogicBits(
 
 void ConfigPort::updateCbFields(
     CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
-  std::vector<std::pair<std::size_t, bool>> updates;
-  updates.reserve(fields.size());
-  for (const auto& [field, value] : fields) {
-    updates.emplace_back(dev_.layout().cbFieldBit(cb, field), value);
-  }
-  setLogicBits(updates);
-}
-
-void ConfigPort::setLogicBitsBlind(
-    std::span<const std::pair<std::size_t, bool>> updates) {
-  const auto& layout = dev_.layout();
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<std::pair<std::size_t, bool>>>
-      byFrame;
-  for (const auto& u : updates) {
-    const FrameAddr f = layout.frameOfLogicBit(u.first);
-    byFrame[{f.major, f.minor}].push_back(u);
-  }
-  for (const auto& [key, list] : byFrame) {
-    const FrameAddr f{Plane::Logic, key.first, key.second};
-    // Frame contents come from the host-side mirror (== device config,
-    // overlaid with any pending shadow writes of the open transaction).
-    auto bytes = mirrorLogicFrame(f);
-    const std::size_t first = layout.logicFrameFirstBit(f);
-    for (const auto& [addr, value] : list) {
-      const std::size_t rel = addr - first;
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if (value) {
-        bytes[rel >> 3] |= mask;
-      } else {
-        bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
-    }
-    writeLogicFrame(f, bytes);
-  }
+  setLogicBits(cbFieldBits(dev_.layout(), cb, fields));
 }
 
 void ConfigPort::setLutTableBlind(CbCoord cb, std::uint16_t table) {
-  std::vector<std::pair<std::size_t, bool>> updates;
-  updates.reserve(16);
-  for (unsigned i = 0; i < 16; ++i) {
-    updates.emplace_back(dev_.layout().cbLutBit(cb, i), (table >> i) & 1u);
-  }
-  setLogicBitsBlind(updates);
+  setLogicBitsBlind(lutBits(dev_.layout(), cb, table));
 }
 
 void ConfigPort::updateCbFieldsBlind(
     CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
-  std::vector<std::pair<std::size_t, bool>> updates;
-  updates.reserve(fields.size());
-  for (const auto& [field, value] : fields) {
-    updates.emplace_back(dev_.layout().cbFieldBit(cb, field), value);
-  }
-  setLogicBitsBlind(updates);
+  setLogicBitsBlind(cbFieldBits(dev_.layout(), cb, fields));
 }
 
 bool ConfigPort::getCbFieldBit(CbCoord cb, CbField field) {
@@ -435,7 +399,7 @@ bool ConfigPort::getCbFieldBit(CbCoord cb, CbField field) {
 }
 
 void ConfigPort::setCbFieldBit(CbCoord cb, CbField field, bool value) {
-  rmwLogicBit(dev_.layout().cbFieldBit(cb, field), value);
+  setLogicBit(dev_.layout().cbFieldBit(cb, field), value);
 }
 
 bool ConfigPort::readFfState(CbCoord cb) {
@@ -455,13 +419,7 @@ void ConfigPort::setBramBit(unsigned block, unsigned bit, bool value) {
   const auto& layout = dev_.layout();
   const FrameAddr f = layout.frameOfBramBit(block, bit);
   auto bytes = readBramFrame(block, f.minor);
-  const unsigned rel = bit - f.minor * layout.frameBits();
-  const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-  if (value) {
-    bytes[rel >> 3] |= mask;
-  } else {
-    bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-  }
+  setFrameBit(bytes, bit - f.minor * layout.frameBits(), value);
   writeBramFrame(block, f.minor, bytes);
 }
 

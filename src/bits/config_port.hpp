@@ -161,7 +161,6 @@ class ConfigPort {
   }
   const LinkFaultOptions& linkFaults() const { return linkFaults_; }
   void setRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retryPolicy() const { return retry_; }
   /// Re-seed the link fault stream. Campaign runners call this once per
   /// (experiment index, rerun attempt) so the fault pattern an experiment
   /// sees is a pure function of the campaign spec - independent of shard
@@ -172,7 +171,6 @@ class ConfigPort {
   /// Enable the session-scoped frame transaction cache. Disabling flushes
   /// and drops any open shadow first, so the device is always current.
   void setCacheEnabled(bool on);
-  bool cacheEnabled() const { return cacheEnabled_; }
 
   /// Mark the start of a reconfiguration session (one injector action such
   /// as "inject fault" or "remove fault" is one session). With the cache
@@ -291,8 +289,11 @@ class ConfigPort {
   void chargeFullImage() { chargeWrite(dev_.layout().totalConfigBytes()); }
 
  private:
-  /// Read-modify-write one plane-A bit through its containing frame.
-  void rmwLogicBit(std::size_t addr, bool value);
+  /// The one plane-A bit write body: one read-modify-write per touched
+  /// frame, the frame read back from the device or, `blind`, taken from the
+  /// host mirror. Returns frames written.
+  unsigned writeLogicBits(
+      std::span<const std::pair<std::size_t, bool>> updates, bool blind);
 
   // --- frame transaction shadow --------------------------------------------
   // Keyed by (plane, major, minor); std::map so the coalesced write-back at

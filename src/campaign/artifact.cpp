@@ -1,5 +1,6 @@
 #include "campaign/artifact.hpp"
 
+#include <climits>
 #include <cstdint>
 
 #include "obs/metrics.hpp"
@@ -50,13 +51,6 @@ Json toJson(const ExperimentRecord& record) {
 
 namespace {
 
-bool fieldU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
 bool fieldI64(const Json& j, const char* key, std::int64_t& out) {
   const Json* f = j.find(key);
   if (f == nullptr || !f->isNumber()) return false;
@@ -64,33 +58,55 @@ bool fieldI64(const Json& j, const char* key, std::int64_t& out) {
   return true;
 }
 
-bool fieldDouble(const Json& j, const char* key, double& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asNumber();
-  return true;
-}
-
-bool fieldString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
+bool fail(std::string* error, const std::string& why) {
+  if (error != nullptr) *error = why;
+  return false;
 }
 
 }  // namespace
 
+bool specFromJson(const Json& j, CampaignSpec& out, std::string* error) {
+  if (!j.isObject()) return fail(error, "spec is not an object");
+  std::string text;
+  if (!obs::readString(j, "model", text) ||
+      !faultModelFromString(text, out.model)) {
+    return fail(error, "spec has no valid fault model");
+  }
+  if (!obs::readString(j, "targets", text) ||
+      !targetClassFromString(text, out.targets)) {
+    return fail(error, "spec has no valid target class");
+  }
+  std::uint64_t unit = 0;
+  std::uint64_t experiments = 0;
+  if (!obs::readU64(j, "unit", unit) ||
+      !obs::readU64(j, "experiments", experiments) ||
+      !obs::readU64(j, "seed", out.seed) || unit > INT_MAX ||
+      experiments > UINT_MAX) {
+    return fail(error, "spec misses unit/experiments/seed");
+  }
+  out.unit = static_cast<int>(unit);
+  out.experiments = static_cast<unsigned>(experiments);
+  const Json* band = j.find("band");
+  if (band == nullptr || !band->isObject() ||
+      !obs::readString(*band, "label", out.band.label) ||
+      !obs::readNumber(*band, "min_cycles", out.band.minCycles) ||
+      !obs::readNumber(*band, "max_cycles", out.band.maxCycles)) {
+    return fail(error, "spec has no valid duration band");
+  }
+  return true;
+}
+
 bool recordFromJson(const Json& j, ExperimentRecord& out) {
   out = ExperimentRecord{};
   std::string outcome;
-  if (!j.isObject() || !fieldString(j, "target", out.targetName) ||
-      !fieldU64(j, "inject_cycle", out.injectCycle) ||
-      !fieldDouble(j, "duration_cycles", out.durationCycles) ||
-      !fieldString(j, "outcome", outcome) ||
-      !fieldDouble(j, "modeled_seconds", out.modeledSeconds)) {
+  if (!j.isObject() || !obs::readString(j, "target", out.targetName) ||
+      !obs::readU64(j, "inject_cycle", out.injectCycle) ||
+      !obs::readNumber(j, "duration_cycles", out.durationCycles) ||
+      !obs::readString(j, "outcome", outcome) ||
+      !obs::readNumber(j, "modeled_seconds", out.modeledSeconds)) {
     return false;
   }
-  fieldString(j, "component", out.component);
+  obs::readString(j, "component", out.component);
   fieldI64(j, "pc", out.pc);
   fieldI64(j, "opcode", out.opcode);
   fieldI64(j, "detect_cycle", out.detectCycle);

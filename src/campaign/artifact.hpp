@@ -13,6 +13,12 @@ namespace fades::campaign {
 
 obs::Json toJson(const DurationBand& band);
 obs::Json toJson(const CampaignSpec& spec);
+/// Inverse of toJson(CampaignSpec), shared by every document that embeds a
+/// spec (fades.job/1, fades.prune/1). The target pool is not serialized and
+/// is left as it was. False with a short diagnostic in *error on a missing
+/// or mistyped field.
+bool specFromJson(const obs::Json& j, CampaignSpec& out,
+                  std::string* error = nullptr);
 obs::Json toJson(const ExperimentRecord& record);
 
 /// Inverse of toJson(ExperimentRecord), shared by the journal reader and

@@ -16,6 +16,9 @@ namespace fades::campaign {
 using common::ErrorKind;
 using common::require;
 using obs::Json;
+using obs::readNumber;
+using obs::readString;
+using obs::readU64;
 
 namespace {
 
@@ -26,27 +29,6 @@ Json headerJson(const CampaignSpec& spec) {
   j.set("schema", Json(std::string(kSchema)));
   j.set("spec", toJson(spec));
   return j;
-}
-
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
-bool readDouble(const Json& j, const char* key, double& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asNumber();
-  return true;
-}
-
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
 }
 
 }  // namespace
@@ -102,10 +84,10 @@ bool CampaignJournal::outcomeFromJson(const Json& j, ExperimentOutcome& out) {
   std::string outcome;
   if (!readString(j, "outcome", outcome) ||
       !outcomeFromString(outcome, out.outcome) ||
-      !readDouble(j, "modeled_seconds", out.modeledSeconds) ||
-      !readDouble(j, "config_seconds", out.configSeconds) ||
-      !readDouble(j, "workload_seconds", out.workloadSeconds) ||
-      !readDouble(j, "host_seconds", out.hostSeconds) ||
+      !readNumber(j, "modeled_seconds", out.modeledSeconds) ||
+      !readNumber(j, "config_seconds", out.configSeconds) ||
+      !readNumber(j, "workload_seconds", out.workloadSeconds) ||
+      !readNumber(j, "host_seconds", out.hostSeconds) ||
       !readU64(j, "bytes_to_device", out.bytesToDevice) ||
       !readU64(j, "bytes_from_device", out.bytesFromDevice) ||
       !readU64(j, "sessions", out.sessions)) {

@@ -11,7 +11,7 @@
 //
 // Determinism contract: experiment i of a campaign is a pure function of
 // (spec, i) - target choice, injection instant, duration and every in-fault
-// random draw come from Rng(common::streamSeed(spec.seed, ...)) - and the
+// random draw come from the stream campaign::drawExperiment seeds - and the
 // merge folds per-experiment outcomes in index order through
 // CampaignResult::fold at every worker count. Outcome tallies, per-experiment
 // records and the modeled CostBreakdown are therefore bit-identical for any

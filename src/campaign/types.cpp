@@ -94,4 +94,25 @@ Outcome classify(const Observation& golden, const Observation& faulty) {
   return Outcome::Silent;
 }
 
+common::Rng drawExperiment(const CampaignSpec& spec,
+                           std::span<const std::uint32_t> pool,
+                           std::uint64_t runCycles, std::uint64_t index,
+                           unsigned attempt, ExperimentDraw& out) {
+  common::Rng rng(
+      common::streamSeed(spec.seed, experimentStream(index, attempt)));
+  out.target = pool[rng.below(pool.size())];
+  out.injectCycle = rng.below(runCycles);
+  out.duration = spec.band.minCycles +
+                 rng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+  return rng;
+}
+
+std::uint64_t activeWindow(double duration, std::uint64_t injectCycle,
+                           std::uint64_t runCycles, common::Rng& rng) {
+  const std::uint64_t cycles =
+      duration < 1.0 ? (rng.uniform01() < duration ? 1 : 0)
+                     : static_cast<std::uint64_t>(duration + 0.5);
+  return std::min(cycles, runCycles - injectCycle);
+}
+
 }  // namespace fades::campaign

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace fades::campaign {
@@ -102,6 +104,42 @@ struct CampaignSpec {
   /// "eligible" registers / "selected" memory positions work this way.
   std::vector<std::uint32_t> targetPool;
 };
+
+/// What campaign experiment i is: the target handle drawn from the pool,
+/// the injection instant and the fault duration in clock cycles.
+struct ExperimentDraw {
+  std::uint32_t target = 0;
+  std::uint64_t injectCycle = 0;
+  double duration = 0;
+};
+
+/// Random stream number of attempt `attempt` of experiment `index`. The
+/// stride keeps redraw streams clear of neighbouring experiments (attempts
+/// cap at 20 << 131).
+constexpr std::uint64_t experimentStream(std::uint64_t index,
+                                         unsigned attempt) {
+  return index * 131 + attempt;
+}
+
+/// The one place a campaign experiment is drawn, shared by every injector
+/// (FADES, VFIT event and compiled, autonomous) and the fades.prune/1
+/// planner: experiment `index`, attempt `attempt` draws target, instant and
+/// duration, in that order, from Rng(streamSeed(spec.seed,
+/// experimentStream(index, attempt))). A pure function of its arguments, so
+/// the same spec over the same pool draws the same fault in every tool and
+/// at any --jobs. Returns the stream positioned after the draw; the
+/// injector takes its own draws (activeWindow first) from it.
+common::Rng drawExperiment(const CampaignSpec& spec,
+                           std::span<const std::uint32_t> pool,
+                           std::uint64_t runCycles, std::uint64_t index,
+                           unsigned attempt, ExperimentDraw& out);
+
+/// Clock edges a fault of `duration` cycles injected at `injectCycle` is
+/// active for, clipped to the end of the workload. A sub-cycle fault
+/// overlaps a sampling edge with probability equal to its duration (one
+/// uniform01 draw from `rng`); longer ones last their rounded duration.
+std::uint64_t activeWindow(double duration, std::uint64_t injectCycle,
+                           std::uint64_t runCycles, common::Rng& rng);
 
 /// One golden-run instruction sample: the instruction in flight during a
 /// given clock cycle. Produced by an ISS trace hook (mc8051::Iss::

@@ -106,10 +106,9 @@ std::vector<std::uint32_t> AutonomousTool::enumeratePool(
 
 campaign::ExperimentOutcome AutonomousTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
+    unsigned index, unsigned /*rerun*/) {
   const auto plan = vfit_.planExperiment(spec, pool, index);
-  return remeter(vfit_.runExperimentAt(spec, pool, index, rerun),
-                 plan.commands);
+  return remeter(vfit_.runPlan(spec, plan), plan.commands);
 }
 
 std::vector<campaign::ExperimentOutcome> AutonomousTool::runWaveAt(

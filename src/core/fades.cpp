@@ -286,17 +286,93 @@ Unit FadesTool::targetUnit(TargetClass cls, std::uint32_t target) const {
 // Injection mechanisms (Section 4 / Table 1)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+bool isSegment(const fpga::RoutingNodes& nodes, std::uint32_t node) {
+  const auto k = nodes.info(node).kind;
+  return k == NodeKind::HSeg || k == NodeKind::VSeg;
+}
+
+}  // namespace
+
+void FadesTool::gsrFlip(std::span<const std::uint32_t> flops) {
+  // GSR path (Section 4.1): read back ALL flip-flop states, configure every
+  // FF's set/reset mux to reproduce its state - the targets inverted -
+  // pulse the global line once, then restore the mux selections. This is
+  // the high-traffic approach the paper advises against for single flips;
+  // a multiple flip costs the same traffic as a single one.
+  const auto& layout = dev_.layout();
+  port_.beginSession();
+  std::map<unsigned, std::vector<std::uint8_t>> capture;
+  for (unsigned col : usedCaptureCols_) {
+    capture[col] = port_.readCaptureFrame(col);
+  }
+  std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
+  for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
+    const auto& site = impl_.flops[i];
+    const auto& bytes = capture[site.cb.x];
+    bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
+    for (auto t : flops) {
+      if (t == i) state = !state;
+    }
+    const std::size_t bit = layout.cbFieldBit(site.cb, CbField::SrMode);
+    setBits.emplace_back(bit, state);
+    restoreBits.emplace_back(bit, site.init);
+  }
+  port_.setLogicBits(setBits);
+  port_.pulseGsr();
+  port_.setLogicBitsBlind(restoreBits);
+  port_.endSession();
+  dev_.settle();
+}
+
+std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
+    std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
+    const std::set<std::uint32_t>& avoid) const {
+  const auto& nodes = dev_.nodes();
+  std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
+  std::vector<std::uint32_t> queue{from};
+  prev[from] = {from, 0};
+  bool found = false;
+  for (std::size_t h = 0; h < queue.size() && !found; ++h) {
+    const std::uint32_t n = queue[h];
+    synth::forEachNeighbor(
+        dev_.layout(), nodes, n, [&](std::uint32_t nb, std::size_t bit) {
+          if (found || bit == forbiddenBit || prev.count(nb)) return;
+          if (nb == to) {
+            prev[nb] = {n, bit};
+            found = true;
+            return;
+          }
+          if (!isSegment(nodes, nb) || usedNodes_.count(nb) ||
+              avoid.count(nb) || queue.size() > 6000) {
+            return;
+          }
+          prev[nb] = {n, bit};
+          queue.push_back(nb);
+        });
+  }
+  std::vector<std::pair<std::size_t, std::uint32_t>> path;
+  if (!found) return path;
+  for (std::uint32_t n = to; n != from;) {
+    const auto [p, bit] = prev[n];
+    path.emplace_back(bit, n);
+    n = p;
+  }
+  return path;
+}
+
 void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
   const auto& layout = dev_.layout();
   switch (fault.model) {
     case FaultModel::BitFlip: {
       if (fault.cls == TargetClass::SequentialFF) {
         fault.cb = impl_.flops[fault.target].cb;
-        port_.beginSession();
         if (opt_.bitFlipVia == BitFlipVia::Lsr) {
           // Fast path (Section 4.1): read the FF state, select the opposite
           // level on PRMux/CLRMux, pulse the local set/reset by toggling
           // InvertLSRMux.
+          port_.beginSession();
           const bool state = port_.readFfState(fault.cb);
           const std::pair<CbField, bool> set[] = {{CbField::SrMode, !state},
                                                   {CbField::InvLsr, true}};
@@ -309,30 +385,8 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           port_.updateCbFieldsBlind(fault.cb, clr);
           port_.endSession();
         } else {
-          // GSR path: read back ALL flip-flop states, configure every FF's
-          // set/reset mux to reproduce its state (target inverted), pulse
-          // the global line, then restore the mux selections. This is the
-          // high-traffic approach the paper advises against.
-          std::map<unsigned, std::vector<std::uint8_t>> capture;
-          for (unsigned col : usedCaptureCols_) {
-            capture[col] = port_.readCaptureFrame(col);
-          }
-          std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
-          for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
-            const auto& site = impl_.flops[i];
-            const auto& bytes = capture[site.cb.x];
-            bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
-            if (i == fault.target) state = !state;
-            setBits.emplace_back(layout.cbFieldBit(site.cb, CbField::SrMode),
-                                 state);
-            restoreBits.emplace_back(
-                layout.cbFieldBit(site.cb, CbField::SrMode), site.init);
-          }
-          port_.setLogicBits(setBits);
-          port_.pulseGsr();
-          port_.setLogicBitsBlind(restoreBits);
-          port_.endSession();
-          dev_.settle();
+          const std::uint32_t flop[] = {fault.target};
+          gsrFlip(flop);
         }
         fault.needsRemoval = false;  // bit-flips persist until rewritten
       } else {
@@ -378,56 +432,10 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
       const auto& nodes = dev_.nodes();
       std::vector<std::pair<std::size_t, bool>> changes;  // (bit, newValue)
 
-      auto trySegment = [&](std::uint32_t node) {
-        const auto k = nodes.info(node).kind;
-        return k == NodeKind::HSeg || k == NodeKind::VSeg;
-      };
-
       if (opt_.delayVia == DelayVia::ShiftRegister) {
         // Figure 7: break the line at its driver and re-route it through an
         // unused CB whose flip-flop acts as a shift-register stage - the
         // signal arrives whole clock cycles late while the fault is active.
-        auto bfsTo = [&](std::uint32_t from, std::uint32_t to,
-                         std::size_t forbiddenBit,
-                         const std::set<std::uint32_t>& avoid)
-            -> std::pair<std::vector<std::size_t>,
-                         std::vector<std::uint32_t>> {
-          std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
-          std::vector<std::uint32_t> queue{from};
-          prev[from] = {from, 0};
-          bool found = false;
-          for (std::size_t h = 0; h < queue.size() && !found; ++h) {
-            const std::uint32_t n = queue[h];
-            synth::forEachNeighbor(
-                dev_.layout(), nodes, n,
-                [&](std::uint32_t nb, std::size_t bit) {
-                  if (found || bit == forbiddenBit || prev.count(nb)) return;
-                  if (nb == to) {
-                    prev[nb] = {n, bit};
-                    found = true;
-                    return;
-                  }
-                  if (!trySegment(nb) || usedNodes_.count(nb) ||
-                      avoid.count(nb) || queue.size() > 6000) {
-                    return;
-                  }
-                  prev[nb] = {n, bit};
-                  queue.push_back(nb);
-                });
-          }
-          std::vector<std::size_t> bits;
-          std::vector<std::uint32_t> pathNodes;
-          if (!found) return {bits, pathNodes};
-          std::uint32_t n = to;
-          while (n != from) {
-            const auto [p, bit] = prev[n];
-            bits.push_back(bit);
-            pathNodes.push_back(n);
-            n = p;
-          }
-          return {bits, pathNodes};
-        };
-
         // The source pin must hang off the tree through exactly one edge.
         std::size_t srcEdge = route.edgeNodes.size();
         unsigned srcEdgeCount = 0;
@@ -446,7 +454,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           // Find a fully unused CB near the first segment.
           double sx, sy;
           nodes.position(s0, sx, sy);
-          const auto& layout = dev_.layout();
           fpga::CbCoord spare{};
           bool haveSpare = false;
           for (int radius = 1; radius <= 6 && !haveSpare; ++radius) {
@@ -472,17 +479,14 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           if (haveSpare) {
             const auto bypPin = nodes.cbIn(spare, fpga::CbInPin::Byp);
             const auto ffPin = nodes.cbOut(spare, fpga::CbOutPin::Ff);
-            const auto [leg1, leg1Nodes] =
-                bfsTo(route.sourceNode, bypPin, directBit, {});
-            std::set<std::uint32_t> avoid(leg1Nodes.begin(),
-                                          leg1Nodes.end());
-            const auto [leg2, leg2Nodes] =
-                bfsTo(ffPin, s0, directBit, avoid);
-            (void)leg2Nodes;
+            const auto leg1 = detour(route.sourceNode, bypPin, directBit, {});
+            std::set<std::uint32_t> avoid;
+            for (const auto& [bit, n] : leg1) avoid.insert(n);
+            const auto leg2 = detour(ffPin, s0, directBit, avoid);
             if (!leg1.empty() && !leg2.empty()) {
               changes.emplace_back(directBit, false);
-              for (auto bit : leg1) changes.emplace_back(bit, true);
-              for (auto bit : leg2) changes.emplace_back(bit, true);
+              for (const auto& [bit, n] : leg1) changes.emplace_back(bit, true);
+              for (const auto& [bit, n] : leg2) changes.emplace_back(bit, true);
               changes.emplace_back(layout.cbFieldBit(spare, CbField::FfUsed),
                                    true);
               changes.emplace_back(
@@ -496,46 +500,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         // detour passes through a random via waypoint several tiles away,
         // so the added wire length - and therefore the injected delay -
         // varies from fault to fault, like a physical delay distribution.
-        auto bfs = [&](std::uint32_t from, std::uint32_t to,
-                       std::size_t forbiddenBit,
-                       const std::map<std::uint32_t, bool>& avoid)
-            -> std::vector<std::pair<std::size_t, std::uint32_t>> {
-          // Returns (transistorBit, node) hops from `from` to `to`.
-          std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
-          std::vector<std::uint32_t> queue{from};
-          prev[from] = {from, 0};
-          bool found = false;
-          for (std::size_t h = 0; h < queue.size() && !found; ++h) {
-            const std::uint32_t n = queue[h];
-            synth::forEachNeighbor(
-                dev_.layout(), nodes, n,
-                [&](std::uint32_t nb, std::size_t bit) {
-                  if (found || bit == forbiddenBit) return;
-                  if (prev.count(nb)) return;
-                  if (nb == to) {
-                    prev[nb] = {n, bit};
-                    found = true;
-                    return;
-                  }
-                  if (!trySegment(nb) || usedNodes_.count(nb) ||
-                      avoid.count(nb) || queue.size() > 6000) {
-                    return;
-                  }
-                  prev[nb] = {n, bit};
-                  queue.push_back(nb);
-                });
-          }
-          std::vector<std::pair<std::size_t, std::uint32_t>> path;
-          if (!found) return path;
-          std::uint32_t n = to;
-          while (n != from) {
-            const auto [p, bit] = prev[n];
-            path.emplace_back(bit, n);
-            n = p;
-          }
-          return path;
-        };
-
         std::vector<std::size_t> edgeOrder(route.edgeNodes.size());
         for (std::size_t i = 0; i < edgeOrder.size(); ++i) edgeOrder[i] = i;
         for (std::size_t i = edgeOrder.size(); i > 1; --i) {
@@ -543,7 +507,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         }
         for (std::size_t ei : edgeOrder) {
           const auto [a, b] = route.edgeNodes[ei];
-          if (!trySegment(a) || !trySegment(b)) continue;
+          if (!isSegment(nodes, a) || !isSegment(nodes, b)) continue;
           const std::size_t directBit = route.transistorBits[ei];
 
           double ax, ay;
@@ -566,12 +530,12 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
                                         static_cast<unsigned>(vy), t);
             if (usedNodes_.count(via) || via == a || via == b) continue;
 
-            const auto leg1 = bfs(a, via, directBit, {});
+            const auto leg1 = detour(a, via, directBit, {});
             if (leg1.empty()) continue;
-            std::map<std::uint32_t, bool> avoid;
-            for (const auto& [bit, n] : leg1) avoid[n] = true;
+            std::set<std::uint32_t> avoid;
+            for (const auto& [bit, n] : leg1) avoid.insert(n);
             avoid.erase(via);
-            const auto leg2 = bfs(via, b, directBit, avoid);
+            const auto leg2 = detour(via, b, directBit, avoid);
             if (leg2.empty()) continue;
 
             changes.emplace_back(directBit, false);
@@ -591,9 +555,9 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         }
         for (std::uint32_t w : wireOrder) {
           bool done = false;
-          synth::forEachNeighbor(dev_.layout(), nodes, w,
+          synth::forEachNeighbor(layout, nodes, w,
                                  [&](std::uint32_t nb, std::size_t bit) {
-                                   if (done || !trySegment(nb)) return;
+                                   if (done || !isSegment(nodes, nb)) return;
                                    if (usedNodes_.count(nb)) return;
                                    if (dev_.logicBit(bit)) return;
                                    changes.emplace_back(bit, true);
@@ -754,13 +718,8 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     run = beginFaultyRun(injectCycle);
   }
 
-  // Sub-cycle faults overlap a sampling edge with probability = duration.
-  std::uint64_t effectiveCycles;
-  if (durationCycles < 1.0) {
-    effectiveCycles = rng.uniform01() < durationCycles ? 1 : 0;
-  } else {
-    effectiveCycles = static_cast<std::uint64_t>(durationCycles + 0.5);
-  }
+  const std::uint64_t window =
+      campaign::activeWindow(durationCycles, injectCycle, runCycles_, rng);
 
   ActiveFault fault;
   fault.model = model;
@@ -774,7 +733,7 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
 
   if (model == FaultModel::BitFlip) {
     // Transient in cause, persistent in effect: nothing to remove.
-  } else if (effectiveCycles == 0) {
+  } else if (window == 0) {
     // Sub-cycle fault missing every edge: inject + remove back-to-back
     // within the same reconfiguration pass where the mechanism allows.
     obs::Span removeSpan{"remove"};
@@ -782,9 +741,8 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
   } else {
     {
       obs::Span emulateSpan{
-          "emulate", {{"cycles", std::to_string(effectiveCycles)}}};
-      for (std::uint64_t k = 0;
-           k < effectiveCycles && dev_.cycle() < runCycles_; ++k) {
+          "emulate", {{"cycles", std::to_string(window)}}};
+      for (std::uint64_t k = 0; k < window; ++k) {
         if (k > 0 && opt_.oscillatingIndetermination) oscillate(fault, rng);
         stepObserved(run);
       }
@@ -902,28 +860,22 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
   // keeps a faulted campaign's artifacts identical to a fault-free run.
   port_.seedLinkStream(common::streamSeed(
       spec.seed ^ 0x6c696e6b5f726e67ULL,  // "link_rng"
-      std::uint64_t{index} * 131 + rerun));
+      campaign::experimentStream(index, rerun)));
   // A handful of sites cannot host certain faults (e.g. a net with no free
   // fabric around it for a delay detour); redraw like the paper's tool
-  // would skip an unusable location. Each attempt derives its own stream
-  // from (seed, index, attempt) alone, so redraws never perturb any other
-  // experiment - the invariant sharded execution relies on. The stride
-  // keeps attempt streams clear of neighbouring experiments (attempts cap
-  // at 20 << 131).
+  // would skip an unusable location. Each attempt draws from its own
+  // stream of (seed, index, attempt) alone, so redraws never perturb any
+  // other experiment - the invariant sharded execution relies on.
   for (unsigned attempt = 0;; ++attempt) {
-    Rng erng(common::streamSeed(spec.seed,
-                                std::uint64_t{index} * 131 + attempt));
-    const auto target = pool[erng.below(pool.size())];
-    const auto injectCycle = erng.below(runCycles_);
-    const double duration =
-        spec.band.minCycles +
-        erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+    campaign::ExperimentDraw draw;
+    Rng erng = campaign::drawExperiment(spec, pool, runCycles_, index,
+                                        attempt, draw);
     campaign::ExperimentOutcome out;
     bits::TransferMeter meter;
     std::int64_t detectCycle = -1;
     try {
-      out.outcome = runExperiment(spec.model, spec.targets, target,
-                                  injectCycle, duration, erng,
+      out.outcome = runExperiment(spec.model, spec.targets, draw.target,
+                                  draw.injectCycle, draw.duration, erng,
                                   &out.modeledSeconds, &meter, &detectCycle);
     } catch (const common::FadesError& err) {
       if (err.kind() != common::ErrorKind::InjectionError || attempt >= 20) {
@@ -940,34 +892,37 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
     out.sessions = meter.sessions;
     if (opt_.keepRecords) {
       out.hasRecord = true;
-      out.record = campaign::ExperimentRecord{
-          targetName(spec.targets, target), injectCycle, duration,
-          out.outcome, out.modeledSeconds,
-          netlist::toString(targetUnit(spec.targets, target))};
+      out.record = plannedRecord(spec.targets, draw, out);
       out.record.detectCycle = detectCycle;
-      if (opt_.instructionTrace != nullptr &&
-          injectCycle < opt_.instructionTrace->size()) {
-        const auto& sample = (*opt_.instructionTrace)[injectCycle];
-        out.record.pc = sample.pc;
-        out.record.opcode = sample.opcode;
-      }
     }
     return out;
   }
 }
 
+campaign::ExperimentRecord FadesTool::plannedRecord(
+    TargetClass cls, const campaign::ExperimentDraw& draw,
+    const campaign::ExperimentOutcome& out) const {
+  campaign::ExperimentRecord record{
+      targetName(cls, draw.target), draw.injectCycle, draw.duration,
+      out.outcome, out.modeledSeconds,
+      netlist::toString(targetUnit(cls, draw.target))};
+  if (opt_.instructionTrace != nullptr &&
+      draw.injectCycle < opt_.instructionTrace->size()) {
+    const auto& sample = (*opt_.instructionTrace)[draw.injectCycle];
+    record.pc = sample.pc;
+    record.opcode = sample.opcode;
+  }
+  return record;
+}
+
 campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, const campaign::ExperimentOutcome& representative) {
-  // Replay attempt 0 of this experiment's own stream for the planned
-  // fields. Prunable target kinds (FF state, BRAM content, LUT outputs,
-  // dead nets) never raise InjectionError, so attempt 0 is the experiment.
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  const auto target = pool[erng.below(pool.size())];
-  const auto injectCycle = erng.below(runCycles_);
-  const double duration =
-      spec.band.minCycles +
-      erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+  // Redraw attempt 0 of this experiment for the planned fields. Prunable
+  // target kinds (FF state, BRAM content, LUT outputs, dead nets) never
+  // raise InjectionError, so attempt 0 is the experiment.
+  campaign::ExperimentDraw draw;
+  campaign::drawExperiment(spec, pool, runCycles_, index, 0, draw);
 
   // The measured half - behavior and reconfiguration traffic - is exactly
   // the representative's (that equivalence is what the plan proved; traffic
@@ -979,18 +934,9 @@ campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
   out.record = campaign::ExperimentRecord{};
   if (opt_.keepRecords) {
     out.hasRecord = true;
-    out.record = campaign::ExperimentRecord{
-        targetName(spec.targets, target), injectCycle, duration, out.outcome,
-        out.modeledSeconds,
-        netlist::toString(targetUnit(spec.targets, target))};
+    out.record = plannedRecord(spec.targets, draw, out);
     out.record.detectCycle =
         representative.hasRecord ? representative.record.detectCycle : -1;
-    if (opt_.instructionTrace != nullptr &&
-        injectCycle < opt_.instructionTrace->size()) {
-      const auto& sample = (*opt_.instructionTrace)[injectCycle];
-      out.record.pc = sample.pc;
-      out.record.opcode = sample.opcode;
-    }
     out.record.prunedFrom = static_cast<std::int64_t>(representative.index);
   }
   return out;
@@ -1018,32 +964,7 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
   chargeExperimentBaseline();
   FaultyRun run = beginFaultyRun(injectCycle);
 
-  // GSR-based multiple flip: read back all FF states, program every FF's
-  // set/reset mux with its current value - the targets inverted - and pulse
-  // the global line once.
-  port_.beginSession();
-  std::map<unsigned, std::vector<std::uint8_t>> capture;
-  for (unsigned col : usedCaptureCols_) {
-    capture[col] = port_.readCaptureFrame(col);
-  }
-  std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
-  for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
-    const auto& site = impl_.flops[i];
-    const auto& bytes = capture[site.cb.x];
-    bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
-    for (auto t : flopTargets) {
-      if (t == i) state = !state;
-    }
-    setBits.emplace_back(dev_.layout().cbFieldBit(site.cb, CbField::SrMode),
-                         state);
-    restoreBits.emplace_back(
-        dev_.layout().cbFieldBit(site.cb, CbField::SrMode), site.init);
-  }
-  port_.setLogicBits(setBits);
-  port_.pulseGsr();
-  port_.setLogicBitsBlind(restoreBits);
-  port_.endSession();
-  dev_.settle();
+  gsrFlip(flopTargets);
 
   return finishExperiment(run, injectCycle, modeledSeconds);
 }

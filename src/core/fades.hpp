@@ -22,9 +22,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bits/config_port.hpp"
@@ -120,8 +122,6 @@ class FadesTool final : public campaign::CampaignEngine {
   FadesTool(const fpga::DeviceSpec& deviceSpec,
             const synth::Implementation& impl, std::uint64_t runCycles,
             FadesOptions options = {});
-
-  bool supports(FaultModel) const { return true; }
 
   // --- fault-location process (device level) ------------------------------
   /// Enumerate targets for a campaign. The returned handles are indices into
@@ -247,8 +247,24 @@ class FadesTool final : public campaign::CampaignEngine {
                            double* modeledSeconds);
 
   void inject(ActiveFault& fault, common::Rng& rng, double durationCycles);
+  /// Flip every flip-flop in `flops` at once through the global set/reset
+  /// line, in one reconfiguration session.
+  void gsrFlip(std::span<const std::uint32_t> flops);
+  /// Breadth-first detour from routing node `from` to `to` through unused
+  /// wire segments, never closing `forbiddenBit` and never entering
+  /// `avoid`. Returns the (transistor bit, node) hops walked back from
+  /// `to`; empty when no detour exists within the search budget.
+  std::vector<std::pair<std::size_t, std::uint32_t>> detour(
+      std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
+      const std::set<std::uint32_t>& avoid) const;
   void remove(ActiveFault& fault);
   void oscillate(ActiveFault& fault, common::Rng& rng);
+
+  /// The planned record fields of a drawn experiment - target name, unit,
+  /// golden-run instruction - plus `out`'s outcome and modeled seconds.
+  campaign::ExperimentRecord plannedRecord(
+      TargetClass cls, const campaign::ExperimentDraw& draw,
+      const campaign::ExperimentOutcome& out) const;
 
   std::uint64_t outputWord() const;
   void captureFinalStateViaPort(Observation& obs, bool chargeOnly);

@@ -74,17 +74,20 @@ const Json& member(const Json& j, const char* key) {
 }
 
 std::uint64_t memberU64(const Json& j, const char* key) {
-  const Json& m = member(j, key);
-  require(m.isNumber(), ErrorKind::InvalidArgument,
-          std::string("case spec field '") + key + "' must be a number");
-  return static_cast<std::uint64_t>(m.asInt());
+  member(j, key);  // raises when the field is missing
+  std::uint64_t value = 0;
+  require(obs::readU64(j, key, value), ErrorKind::InvalidArgument,
+          std::string("case spec field '") + key +
+              "' must be a non-negative integer");
+  return value;
 }
 
 std::string memberStr(const Json& j, const char* key) {
-  const Json& m = member(j, key);
-  require(m.isString(), ErrorKind::InvalidArgument,
+  member(j, key);  // raises when the field is missing
+  std::string value;
+  require(obs::readString(j, key, value), ErrorKind::InvalidArgument,
           std::string("case spec field '") + key + "' must be a string");
-  return m.asString();
+  return value;
 }
 
 }  // namespace

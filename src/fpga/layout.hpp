@@ -62,7 +62,6 @@ class ConfigLayout {
     return std::size_t{spec_.memBlocks} * spec_.memBlockBits;
   }
   unsigned frameBits() const { return spec_.frameBytes * 8; }
-  unsigned logicColumns() const { return spec_.cols + 1; }
   unsigned minorsOfColumn(unsigned col) const;
   unsigned bramFramesPerBlock() const;
   unsigned captureFramesPerColumn() const;

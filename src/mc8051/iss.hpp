@@ -52,7 +52,6 @@ class Iss {
   std::uint8_t p0() const { return p0_; }
   std::uint8_t p1() const { return p1_; }
   std::uint8_t iram(std::uint8_t addr) const { return iram_[addr & 0x7F]; }
-  void setIram(std::uint8_t addr, std::uint8_t v) { iram_[addr & 0x7F] = v; }
   std::uint8_t reg(unsigned n) const;  // banked R0..R7
 
   bool carry() const { return cy_; }

@@ -238,6 +238,15 @@ struct Parser {
         out = Json(static_cast<std::int64_t>(v));
         return true;
       }
+      if (token[0] != '-') {
+        // Past INT64_MAX: unsigned 64-bit values (seeds) stay exact.
+        errno = 0;
+        const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+        if (errno == 0 && end == token.c_str() + token.size()) {
+          out = Json(static_cast<std::uint64_t>(u));
+          return true;
+        }
+      }
     }
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
@@ -365,6 +374,27 @@ std::optional<Json> Json::parse(std::string_view text, std::string* error) {
     return std::nullopt;
   }
   return out;
+}
+
+bool readString(const Json& j, const char* key, std::string& out) {
+  const Json* f = j.find(key);
+  if (f == nullptr || !f->isString()) return false;
+  out = f->asString();
+  return true;
+}
+
+bool readNumber(const Json& j, const char* key, double& out) {
+  const Json* f = j.find(key);
+  if (f == nullptr || !f->isNumber()) return false;
+  out = f->asNumber();
+  return true;
+}
+
+bool readU64(const Json& j, const char* key, std::uint64_t& out) {
+  const Json* f = j.find(key);
+  if (f == nullptr || !f->isU64()) return false;
+  out = f->asU64();
+  return true;
 }
 
 }  // namespace fades::obs

@@ -51,6 +51,10 @@ class Json {
   bool asBool() const { return bool_; }
   double asNumber() const { return num_; }
   std::int64_t asInt() const { return isInt_ ? int_ : static_cast<std::int64_t>(num_); }
+  /// An integer in [0, 2^64): written as one, or parsed from an integer
+  /// literal in that range (which parse() keeps exact).
+  bool isU64() const { return isInt_ && (isUnsigned_ || int_ >= 0); }
+  std::uint64_t asU64() const { return static_cast<std::uint64_t>(int_); }
   const std::string& asString() const { return str_; }
 
   // --- array -------------------------------------------------------------
@@ -98,5 +102,13 @@ class Json {
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
 };
+
+// Strict member readers shared by every document reader (jobs, journals,
+// prune plans, wire messages, case specs): each returns false, leaving
+// `out` untouched, when `key` is absent or holds another type. readU64
+// accepts only non-negative integers, exact over [0, 2^64).
+bool readString(const Json& j, const char* key, std::string& out);
+bool readNumber(const Json& j, const char* key, double& out);
+bool readU64(const Json& j, const char* key, std::uint64_t& out);
 
 }  // namespace fades::obs

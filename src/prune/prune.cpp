@@ -465,25 +465,17 @@ PrunePlan buildPlan(const CampaignSpec& spec,
   };
 
   for (unsigned i = 0; i < spec.experiments; ++i) {
-    // Replicate the campaign draw order exactly (FadesTool::runExperimentAt
-    // attempt 0 == VfitTool::planExperiment): target,
-    // instant, duration, then the sub-cycle sampling draw. Supported target
+    // The campaign's own draw (campaign::drawExperiment, attempt 0) and
+    // active window, exactly as every injector takes them. Supported target
     // kinds never redraw, so attempt 0 is the experiment.
-    common::Rng erng(common::streamSeed(spec.seed, std::uint64_t{i} * 131));
-    const std::uint32_t handle =
-        pool[erng.below(pool.size())];
-    const std::uint64_t injectCycle = erng.below(in.runCycles);
-    const double duration =
-        spec.band.minCycles +
-        erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-    std::uint64_t effectiveCycles;
-    if (duration < 1.0) {
-      effectiveCycles = erng.uniform01() < duration ? 1 : 0;
-    } else {
-      effectiveCycles = static_cast<std::uint64_t>(duration + 0.5);
-    }
+    campaign::ExperimentDraw draw;
+    common::Rng erng =
+        campaign::drawExperiment(spec, pool, in.runCycles, i, 0, draw);
+    const std::uint32_t handle = draw.target;
+    const std::uint64_t injectCycle = draw.injectCycle;
+    const double duration = draw.duration;
     const std::uint64_t window =
-        std::min(effectiveCycles, in.runCycles - injectCycle);
+        campaign::activeWindow(duration, injectCycle, in.runCycles, erng);
     const bool subCycle = duration < 1.0;
     const std::uint64_t costSig =
         (window << 1) | static_cast<std::uint64_t>(subCycle);

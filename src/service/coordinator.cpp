@@ -1,6 +1,7 @@
 #include "service/coordinator.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,8 @@ using common::ErrorKind;
 using common::FadesError;
 using common::require;
 using obs::Json;
+using obs::readString;
+using obs::readU64;
 
 namespace {
 
@@ -37,17 +40,12 @@ Json typed(const char* type) {
   return j;
 }
 
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
+/// A block's first experiment index: an integer that fits the unsigned
+/// block numbering, so an out-of-range value never aliases another block.
+bool readFirst(const Json& j, unsigned& out) {
+  std::uint64_t first = 0;
+  if (!readU64(j, "first", first) || first > UINT_MAX) return false;
+  out = static_cast<unsigned>(first);
   return true;
 }
 
@@ -630,17 +628,15 @@ Json Coordinator::handleHeartbeat(const Json& msg) {
   std::string worker;
   std::string fp;
   std::uint64_t leaseId = 0;
-  std::uint64_t first = 0;
+  unsigned first = 0;
   if (!readString(msg, "worker", worker) ||
       !readString(msg, "fingerprint", fp) ||
-      !readU64(msg, "lease_id", leaseId) || !readU64(msg, "first", first)) {
+      !readU64(msg, "lease_id", leaseId) || !readFirst(msg, first)) {
     return errorReply("heartbeat misses worker/fingerprint/lease_id/first");
   }
   std::lock_guard<std::mutex> lock(mu_);
   Campaign* c = findCampaignLocked(fp);
-  Block* block =
-      c != nullptr ? findBlockLocked(*c, static_cast<unsigned>(first))
-                   : nullptr;
+  Block* block = c != nullptr ? findBlockLocked(*c, first) : nullptr;
   if (block == nullptr || block->state != BlockState::Leased ||
       block->leaseId != leaseId || block->lessee != worker) {
     Json j = typed("revoked");
@@ -657,9 +653,9 @@ Json Coordinator::handleHeartbeat(const Json& msg) {
 Json Coordinator::handleComplete(const Json& msg) {
   std::string worker;
   std::string fp;
-  std::uint64_t first = 0;
+  unsigned first = 0;
   if (!readString(msg, "worker", worker) ||
-      !readString(msg, "fingerprint", fp) || !readU64(msg, "first", first)) {
+      !readString(msg, "fingerprint", fp) || !readFirst(msg, first)) {
     return errorReply("complete misses worker/fingerprint/first");
   }
   const Json* outcomesJson = msg.find("outcomes");
@@ -667,7 +663,7 @@ Json Coordinator::handleComplete(const Json& msg) {
   std::lock_guard<std::mutex> lock(mu_);
   Campaign* c = findCampaignLocked(fp);
   if (c == nullptr) return errorReply("unknown campaign " + fp);
-  Block* block = findBlockLocked(*c, static_cast<unsigned>(first));
+  Block* block = findBlockLocked(*c, first);
   if (block == nullptr) {
     return errorReply("campaign " + fp + " has no block at " +
                       std::to_string(first));
@@ -749,19 +745,17 @@ Json Coordinator::handleRelease(const Json& msg) {
   std::string worker;
   std::string fp;
   std::uint64_t leaseId = 0;
-  std::uint64_t first = 0;
+  unsigned first = 0;
   std::string error;
   if (!readString(msg, "worker", worker) ||
       !readString(msg, "fingerprint", fp) ||
-      !readU64(msg, "lease_id", leaseId) || !readU64(msg, "first", first)) {
+      !readU64(msg, "lease_id", leaseId) || !readFirst(msg, first)) {
     return errorReply("release misses worker/fingerprint/lease_id/first");
   }
   readString(msg, "error", error);
   std::lock_guard<std::mutex> lock(mu_);
   Campaign* c = findCampaignLocked(fp);
-  Block* block =
-      c != nullptr ? findBlockLocked(*c, static_cast<unsigned>(first))
-                   : nullptr;
+  Block* block = c != nullptr ? findBlockLocked(*c, first) : nullptr;
   // Idempotent: releasing an expired, re-leased or already completed block
   // (including the same release arriving twice) acknowledges without
   // touching state - only the exact live lease is returned to the queue.

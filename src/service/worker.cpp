@@ -21,22 +21,10 @@ using common::ErrorKind;
 using common::FadesError;
 using common::require;
 using obs::Json;
+using obs::readString;
+using obs::readU64;
 
 namespace {
-
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
 
 std::string messageType(const Json& j) {
   std::string type;

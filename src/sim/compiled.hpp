@@ -96,9 +96,6 @@ class CompiledSimulator final : public Engine {
   // --- lane observation ---------------------------------------------------
   Word netWord(NetId id) const { return values_[id.value]; }
   Word flopWord(FlopId id) const { return flopW_[id.value]; }
-  bool netValueLane(NetId id, unsigned lane) const {
-    return (values_[id.value] >> lane) & 1;
-  }
   bool flopStateLane(FlopId id, unsigned lane) const {
     return (flopW_[id.value] >> lane) & 1;
   }

@@ -39,9 +39,6 @@ struct MappedDesign {
   std::vector<std::int8_t> constVal;
 
   NetId resolve(NetId n) const { return resolved[n.value]; }
-  std::uint32_t lutIndexOf(NetId n) const {  // 0 = none
-    return lutOfNet[resolve(n).value];
-  }
 };
 
 /// Map a validated netlist onto 4-LUTs. Throws on gates that cannot be

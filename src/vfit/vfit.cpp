@@ -8,7 +8,6 @@
 namespace fades::vfit {
 
 using common::ErrorKind;
-using common::raise;
 using common::require;
 using common::Rng;
 
@@ -115,19 +114,25 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
                                 double durationCycles, Rng& rng,
                                 double* modeledSeconds,
                                 unsigned* commandsOut) {
-  require(supports(model), ErrorKind::InjectionError,
-          "VFIT cannot inject delay faults (no generic delay clauses)");
-  require(injectCycle < runCycles_, ErrorKind::InvalidArgument,
-          "injection instant beyond workload");
+  const LanePlan plan = planFault(
+      model, targets, {targetIndex, injectCycle, durationCycles}, rng);
+  const Outcome outcome = execute(model, targets, plan);
+  if (modeledSeconds != nullptr) {
+    *modeledSeconds = opt_.secondsFixedPerExperiment + goldenSeconds_ +
+                      plan.commands * opt_.secondsPerCommand;
+  }
+  if (commandsOut != nullptr) *commandsOut = plan.commands;
+  return outcome;
+}
 
-  unsigned commands = 0;
-
+Outcome VfitTool::execute(FaultModel model, TargetClass targets,
+                          const LanePlan& p) {
   // Replay from the closest golden checkpoint (wall-clock shortcut; the
-  // modeled cost below always charges a complete simulation).
+  // modeled cost always charges a complete simulation).
   std::uint64_t ckCycle = 0;
   sim_->restore(campaign::checkpointAtOrBefore(
-      checkpoints_, opt_.checkpointInterval, injectCycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < injectCycle; ++c) sim_->step();
+      checkpoints_, opt_.checkpointInterval, p.injectCycle, ckCycle));
+  for (std::uint64_t c = ckCycle; c < p.injectCycle; ++c) sim_->step();
 
   // Faulty trace: the pre-injection prefix equals the golden trace by
   // determinism; everything from the injection instant on is observed live,
@@ -135,80 +140,53 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   Observation faulty;
   faulty.outputs.assign(golden_.outputs.begin(),
                         golden_.outputs.begin() +
-                            static_cast<std::ptrdiff_t>(injectCycle));
+                            static_cast<std::ptrdiff_t>(p.injectCycle));
   auto stepObserved = [&] {
     faulty.outputs.push_back(outputWord());
     sim_->step();
   };
 
-  // Sub-cycle faults hit a sampling edge with probability = duration.
-  std::uint64_t effectiveCycles;
-  if (durationCycles < 1.0) {
-    effectiveCycles = rng.uniform01() < durationCycles ? 1 : 0;
-  } else {
-    effectiveCycles = static_cast<std::uint64_t>(durationCycles + 0.5);
-  }
-
+  // The fault script: the simulator commands the plan counted, issued over
+  // its active window.
   switch (model) {
-    case FaultModel::BitFlip: {
+    case FaultModel::BitFlip:
       if (targets == TargetClass::SequentialFF) {
-        const FlopId f{targetIndex};
+        const FlopId f{p.target};
         sim_->depositFlop(f, !sim_->flopState(f));
-        ++commands;
       } else {
-        // Memory bit-flip: targetIndex encodes ram<<24 | row<<8 | bit.
-        const RamId ram{targetIndex >> 24};
-        const std::size_t row = (targetIndex >> 8) & 0xFFFF;
-        const unsigned bit = targetIndex & 0xFF;
-        sim_->depositRam(ram, row,
-                         sim_->ramWord(ram, row) ^ (1ULL << bit));
-        ++commands;
+        // Memory bit-flip: the target encodes ram<<24 | row<<8 | bit.
+        const RamId ram{p.target >> 24};
+        const std::size_t row = (p.target >> 8) & 0xFFFF;
+        const unsigned bit = p.target & 0xFF;
+        sim_->depositRam(ram, row, sim_->ramWord(ram, row) ^ (1ULL << bit));
       }
       break;
-    }
     case FaultModel::Pulse: {
-      const NetId net{targetIndex};
+      const NetId net{p.target};
       // Invert the driven value across the active window, re-forcing every
       // cycle so the inversion tracks the (changing) fault-free value.
-      for (std::uint64_t k = 0;
-           k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
+      for (std::uint64_t k = 0; k < p.window; ++k) {
         sim_->release(net);
-        ++commands;
         sim_->force(net, !sim_->netValue(net));
-        ++commands;
         stepObserved();
       }
       sim_->release(net);
-      ++commands;
       break;
     }
-    case FaultModel::Indetermination: {
-      bool value = rng.coin();
-      if (targets == TargetClass::SequentialFF) {
-        const FlopId f{targetIndex};
-        for (std::uint64_t k = 0;
-             k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
-          if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
-          sim_->depositFlop(f, value);
-          ++commands;
-          stepObserved();
+    case FaultModel::Indetermination:
+      for (std::uint64_t k = 0; k < p.window; ++k) {
+        const bool value = p.values[static_cast<std::size_t>(k)] != 0;
+        if (targets == TargetClass::SequentialFF) {
+          sim_->depositFlop(FlopId{p.target}, value);
+        } else {
+          sim_->force(NetId{p.target}, value);
         }
-      } else {
-        const NetId net{targetIndex};
-        for (std::uint64_t k = 0;
-             k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
-          if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
-          sim_->force(net, value);
-          ++commands;
-          stepObserved();
-        }
-        sim_->release(net);
-        ++commands;
+        stepObserved();
       }
+      if (targets != TargetClass::SequentialFF) sim_->release(NetId{p.target});
       break;
-    }
     case FaultModel::Delay:
-      raise(ErrorKind::InjectionError, "unreachable");
+      break;  // rejected by planFault
   }
 
   // Run to completion, observing outputs.
@@ -216,14 +194,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   captureFinalState(faulty);
 
   auto& registry = obs::Registry::global();
-  registry.counter(opt_.metricsPrefix + ".commands").add(commands);
+  registry.counter(opt_.metricsPrefix + ".commands").add(p.commands);
   registry.counter(opt_.metricsPrefix + ".experiments").inc();
-
-  if (modeledSeconds != nullptr) {
-    *modeledSeconds = opt_.secondsFixedPerExperiment + goldenSeconds_ +
-                      commands * opt_.secondsPerCommand;
-  }
-  if (commandsOut != nullptr) *commandsOut = commands;
   return campaign::classify(golden_, faulty);
 }
 
@@ -294,53 +266,50 @@ Unit VfitTool::targetUnit(const CampaignSpec& spec,
   return Unit::None;
 }
 
-VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
-                                            std::span<const std::uint32_t> pool,
-                                            unsigned index) const {
-  // Replicates the event-driven path's draw order exactly: runExperimentAt's
-  // target / instant / duration, then runExperiment's effective-cycle and
-  // indetermination draws, all from the same per-experiment stream.
+VfitTool::LanePlan VfitTool::planFault(FaultModel model, TargetClass targets,
+                                       const campaign::ExperimentDraw& draw,
+                                       Rng& rng) const {
+  require(supports(model), ErrorKind::InjectionError,
+          "VFIT cannot inject delay faults (no generic delay clauses)");
+  require(draw.injectCycle < runCycles_, ErrorKind::InvalidArgument,
+          "injection instant beyond workload");
   LanePlan p;
-  p.index = index;
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  p.target = pool[erng.below(pool.size())];
-  p.injectCycle = erng.below(runCycles_);
-  p.duration = spec.band.minCycles +
-               erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-
-  std::uint64_t effectiveCycles;
-  if (p.duration < 1.0) {
-    effectiveCycles = erng.uniform01() < p.duration ? 1 : 0;
-  } else {
-    effectiveCycles = static_cast<std::uint64_t>(p.duration + 0.5);
-  }
-  p.window = std::min(effectiveCycles, runCycles_ - p.injectCycle);
-
-  switch (spec.model) {
+  static_cast<campaign::ExperimentDraw&>(p) = draw;
+  p.window = campaign::activeWindow(p.duration, p.injectCycle, runCycles_, rng);
+  switch (model) {
     case FaultModel::BitFlip:
-      p.commands = 1;
+      p.commands = 1;  // one deposit
       break;
     case FaultModel::Pulse:
       // release + force per active cycle, final release.
       p.commands = static_cast<unsigned>(2 * p.window + 1);
       break;
     case FaultModel::Indetermination: {
-      bool value = erng.coin();
+      bool value = rng.coin();
       p.values.reserve(p.window);
       for (std::uint64_t k = 0; k < p.window; ++k) {
-        if (opt_.oscillatingIndetermination && k > 0) value = erng.coin();
+        if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
         p.values.push_back(value ? 1 : 0);
       }
-      // Signals pay a trailing release; deposits do not.
+      // One deposit or force per active cycle; signals pay a trailing
+      // release, deposits do not.
       p.commands = static_cast<unsigned>(
-          spec.targets == TargetClass::SequentialFF ? p.window
-                                                    : p.window + 1);
+          targets == TargetClass::SequentialFF ? p.window : p.window + 1);
       break;
     }
     case FaultModel::Delay:
-      raise(ErrorKind::InjectionError,
-            "VFIT cannot inject delay faults (no generic delay clauses)");
+      break;  // rejected above
   }
+  return p;
+}
+
+VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
+                                            std::span<const std::uint32_t> pool,
+                                            unsigned index) const {
+  campaign::ExperimentDraw draw;
+  Rng rng = campaign::drawExperiment(spec, pool, runCycles_, index, 0, draw);
+  LanePlan p = planFault(spec.model, spec.targets, draw, rng);
+  p.index = index;
   return p;
 }
 
@@ -369,20 +338,12 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
 campaign::ExperimentOutcome VfitTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, unsigned /*rerun*/) {
-  // Same stream derivation as the FADES campaign loop so that identical
-  // specs over identical pools draw identical faults in both tools.
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  LanePlan plan;
-  plan.index = index;
-  plan.target = pool[erng.below(pool.size())];
-  plan.injectCycle = erng.below(runCycles_);
-  plan.duration =
-      spec.band.minCycles +
-      erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-  const Outcome o =
-      runExperiment(spec.model, spec.targets, plan.target, plan.injectCycle,
-                    plan.duration, erng, nullptr, &plan.commands);
-  return makeOutcome(spec, plan, o);
+  return runPlan(spec, planExperiment(spec, pool, index));
+}
+
+campaign::ExperimentOutcome VfitTool::runPlan(const CampaignSpec& spec,
+                                              const LanePlan& plan) {
+  return makeOutcome(spec, plan, execute(spec.model, spec.targets, plan));
 }
 
 campaign::ExperimentOutcome VfitTool::synthesizeOutcome(
@@ -413,8 +374,6 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
   }
   require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
-  require(supports(spec.model), ErrorKind::InjectionError,
-          "VFIT cannot inject delay faults (no generic delay clauses)");
 
   using Word = sim::CompiledSimulator::Word;
   const unsigned n = static_cast<unsigned>(indices.size());
@@ -422,8 +381,6 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
   plans.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     plans.push_back(planExperiment(spec, pool, indices[i]));
-    require(plans.back().injectCycle < runCycles_, ErrorKind::InvalidArgument,
-            "injection instant beyond workload");
   }
 
   auto& csim = *csim_;
@@ -486,7 +443,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
           break;
         }
         case FaultModel::Delay:
-          break;  // rejected above
+          break;  // rejected by planFault
       }
     }
     if (acted) csim.settle();

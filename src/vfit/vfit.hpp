@@ -122,8 +122,10 @@ class VfitTool final : public campaign::CampaignEngine {
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       std::span<const unsigned> indices, unsigned rerun) override;
 
-  /// Single experiment; exposed for tests. `commandsOut` reports how many
-  /// simulator commands (force / release / deposit) the injection issued.
+  /// Single experiment; exposed for tests. Plans the fault from the given
+  /// draw and `rng` exactly as a campaign experiment would, then runs it on
+  /// the event-driven engine. `commandsOut` reports how many simulator
+  /// commands (force / release / deposit) the injection issued.
   Outcome runExperiment(FaultModel model, TargetClass targets,
                         std::uint32_t targetIndex, std::uint64_t injectCycle,
                         double durationCycles, common::Rng& rng,
@@ -131,25 +133,27 @@ class VfitTool final : public campaign::CampaignEngine {
                         unsigned* commandsOut = nullptr);
 
   const Observation& golden() const { return golden_; }
-  double goldenModelSeconds() const { return goldenSeconds_; }
 
-  /// Pre-drawn fault script of one experiment: every random draw of
-  /// runExperimentAt, in the identical order, so the wave path
-  /// consumes the per-experiment RNG stream exactly as the event-driven
-  /// path does. Public because the autonomous backend re-meters the same
-  /// plan (command count, window) under its own cost model.
-  struct LanePlan {
+  /// The fault script of one experiment, and the only place VFIT decides
+  /// it: the campaign draw plus the active window, the simulator-command
+  /// count and the indetermination value of every active cycle. The
+  /// event-driven path executes it command by command, the compiled wave
+  /// path lane by lane. Public because the autonomous backend re-meters the
+  /// same plan (command count, window) under its own cost model.
+  struct LanePlan : campaign::ExperimentDraw {
     unsigned index = 0;
-    std::uint32_t target = 0;
-    std::uint64_t injectCycle = 0;
-    double duration = 0;
     std::uint64_t window = 0;  // active cycles, clipped to the workload end
     unsigned commands = 0;
     std::vector<std::uint8_t> values;  // indetermination value per cycle
   };
+  /// Plan campaign experiment `index`: campaign::drawExperiment, then the
+  /// fault script from the same stream.
   LanePlan planExperiment(const CampaignSpec& spec,
                           std::span<const std::uint32_t> pool,
                           unsigned index) const;
+  /// Execute `plan` on the event-driven engine and meter it.
+  campaign::ExperimentOutcome runPlan(const CampaignSpec& spec,
+                                      const LanePlan& plan);
 
   /// Materialize experiment `index` from its fades.prune/1 class
   /// representative without simulating: the cost model is a pure function
@@ -162,11 +166,17 @@ class VfitTool final : public campaign::CampaignEngine {
 
  private:
   Unit targetUnit(const CampaignSpec& spec, std::uint32_t target) const;
+  /// The fault script for `draw`: validates the model and instant, then
+  /// takes the window and value draws from `rng`.
+  LanePlan planFault(FaultModel model, TargetClass targets,
+                     const campaign::ExperimentDraw& draw,
+                     common::Rng& rng) const;
+  /// Run `plan` on the event-driven simulator from the nearest golden
+  /// checkpoint and classify the faulty run.
+  Outcome execute(FaultModel model, TargetClass targets, const LanePlan& plan);
   campaign::ExperimentOutcome makeOutcome(const CampaignSpec& spec,
                                           const LanePlan& plan,
                                           Outcome outcome) const;
-  Observation observeRun(std::uint64_t fromCycle,
-                         const std::vector<std::uint64_t>& prefixOutputs);
   std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;
 

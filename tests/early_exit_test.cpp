@@ -257,19 +257,30 @@ TEST(EarlyExitEquivalence, DelayShiftRegister) {
   EXPECT_GT(exits, 0u);
 }
 
-TEST(EarlyExitEquivalence, DelayFanoutWithTiming) {
-  // Fan-out delays act through the timing model; the first such experiment
-  // switches timing on and it stays on for the rest of the campaign.
+/// Delay mechanisms that act through the timing model: the first such
+/// experiment switches timing on and it stays on for the rest of the
+/// campaign. Returns the early exits over both line classes.
+std::uint64_t compareTimedDelays(core::DelayVia via, std::uint64_t seed) {
   FadesOptions opt = baseOptions();
-  opt.delayVia = core::DelayVia::Fanout;
+  opt.delayVia = via;
   std::uint64_t exits = 0;
   for (const auto cls :
        {TargetClass::SequentialLine, TargetClass::CombinationalLine}) {
     exits += compareExperiments(
-        makeSpec(FaultModel::Delay, cls, DurationBand::shortBand(), 40, 17),
+        makeSpec(FaultModel::Delay, cls, DurationBand::shortBand(), 40, seed),
         opt);
   }
-  EXPECT_GT(exits, 0u);
+  return exits;
+}
+
+TEST(EarlyExitEquivalence, DelayFanoutWithTiming) {
+  EXPECT_GT(compareTimedDelays(core::DelayVia::Fanout, 17), 0u);
+}
+
+TEST(EarlyExitEquivalence, DelayRerouteWithTiming) {
+  // Detours through a random waypoint: the restore must put every opened
+  // and closed pass transistor back for the device to rejoin the golden run.
+  EXPECT_GT(compareTimedDelays(core::DelayVia::Reroute, 20), 0u);
 }
 
 TEST(EarlyExitEquivalence, IndeterminationFlopsAndLuts) {

@@ -445,6 +445,29 @@ TEST(PrunePlan, JsonRoundTripIsExact) {
   EXPECT_EQ(campaign::specKey(back.spec), campaign::specKey(plan.spec));
 }
 
+TEST(PrunePlan, JsonRoundTripKeepsFullRangeSeed) {
+  // Seeds above INT64_MAX must come back exact: a plan replays its spec's
+  // draws, so a rounded seed would describe a different campaign.
+  campaign::PrunePlan plan;
+  plan.spec.experiments = 10;
+  plan.spec.seed = UINT64_MAX;
+  plan.runCycles = 100;
+  plan.poolSize = 4;
+  campaign::PruneClass cls;
+  cls.representative = 0;
+  cls.members = {1, 2};
+  plan.classes.push_back(cls);
+
+  const std::string text = campaign::toJson(plan).dump(2);
+  const auto parsed = obs::Json::parse(text);
+  ASSERT_TRUE(parsed.has_value());
+  campaign::PrunePlan back;
+  std::string error;
+  ASSERT_TRUE(campaign::prunePlanFromJson(*parsed, back, &error)) << error;
+  EXPECT_EQ(back.spec.seed, UINT64_MAX);
+  EXPECT_EQ(campaign::toJson(back).dump(2), text);
+}
+
 TEST(PrunePlan, ValidateRejectsMalformedPlans) {
   campaign::PrunePlan plan;
   plan.spec.experiments = 10;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <cstdio>
 #include <filesystem>
@@ -221,6 +222,30 @@ TEST(ServiceJobSpec, JsonRoundTripPreservesIdentity) {
   EXPECT_EQ(service::fingerprint(job), service::fingerprint(back));
 }
 
+TEST(ServiceJobSpec, JsonTextRoundTripKeepsFullRangeSeed) {
+  // Through the text form the coordinator stores and workers read: a seed
+  // above INT64_MAX must survive exactly, fingerprint included.
+  service::JobSpec job = demoJob(24, UINT64_MAX);
+  const auto parsed = Json::parse(service::toJson(job).dump());
+  ASSERT_TRUE(parsed.has_value());
+  service::JobSpec back;
+  std::string error;
+  ASSERT_TRUE(service::jobSpecFromJson(*parsed, back, &error)) << error;
+  EXPECT_EQ(back.spec.seed, UINT64_MAX);
+  EXPECT_EQ(service::fingerprint(job), service::fingerprint(back));
+}
+
+TEST(ServiceJobSpec, SpecFieldsMustBeNonNegativeIntegers) {
+  Json j = service::toJson(demoJob(24));
+  Json spec = *j.find("spec");
+  spec.set("seed", Json(-1));
+  j.set("spec", spec);
+  service::JobSpec back;
+  std::string error;
+  EXPECT_FALSE(service::jobSpecFromJson(j, back, &error));
+  EXPECT_EQ(error, "spec misses unit/experiments/seed");
+}
+
 TEST(ServiceJobSpec, ValidateRejectsNonsense) {
   service::JobSpec job = demoJob(8);
   job.tool = "hope";
@@ -298,6 +323,29 @@ TEST(ServiceJournal, ResumeToleratesCrlfLineEndings) {
   journal.open(spec, /*resume=*/true);
   ASSERT_EQ(journal.completed().size(), 3u);
   EXPECT_EQ(journal.completed().at(1).modeledSeconds, 1.5);
+  fs::remove_all(dir);
+}
+
+TEST(ServiceJournal, ResumeKeepsFullRangeSeed) {
+  // The resume check compares the journal header's spec with the live one;
+  // a seed above INT64_MAX must read back exactly for that to match.
+  const fs::path dir = makeTempDir("u64seed");
+  const fs::path path = dir / "journal.jsonl";
+  campaign::CampaignSpec spec;
+  spec.experiments = 4;
+  spec.seed = UINT64_MAX;
+  {
+    campaign::CampaignJournal journal(path.string());
+    journal.open(spec, /*resume=*/false);
+    campaign::ExperimentOutcome outcome;
+    outcome.index = 2;
+    outcome.outcome = campaign::Outcome::Latent;
+    journal.append(outcome);
+  }
+  campaign::CampaignJournal journal(path.string());
+  ASSERT_NO_THROW(journal.open(spec, /*resume=*/true));
+  ASSERT_EQ(journal.completed().size(), 1u);
+  EXPECT_EQ(journal.completed().at(2).outcome, campaign::Outcome::Latent);
   fs::remove_all(dir);
 }
 
@@ -428,6 +476,43 @@ TEST(ServiceCoordinator, DoubleReleaseIsIdempotent) {
   // same ack, no double requeue of a block somebody else may hold by now.
   EXPECT_EQ(typeOf(client.rpc(Json(release))), "release_ack");
   EXPECT_EQ(counterValue("service.leases_requeued"), requeuedBefore + 1);
+}
+
+TEST(ServiceCoordinator, BlockIndexBeyondUnsignedRangeIsRejected) {
+  // "first" = 2^32 names no block. It must not alias block 0 (the low 32
+  // bits) and renew or complete the lease held there.
+  service::CoordinatorOptions options;
+  options.blockSize = 4;
+  options.progressLogMs = 0;
+  CoordinatorFixture fx(options, "first-range");
+  const service::JobSpec job = demoJob(8, 24);
+  const std::string fp = fx.coordinator->submit(job);
+
+  RawClient client(fx.coordinator->port(), "aliaser");
+  Json lease = client.lease();
+  ASSERT_EQ(typeOf(lease), "lease");
+  ASSERT_EQ(u64Of(lease, "first"), 0u);
+  const std::uint64_t beyond = std::uint64_t{1} << 32;
+
+  Json hb = Json::object();
+  hb.set("type", Json(std::string("heartbeat")));
+  hb.set("fingerprint", Json(fp));
+  hb.set("lease_id", Json(u64Of(lease, "lease_id")));
+  hb.set("first", Json(beyond));
+  const std::string hbType = typeOf(client.rpc(std::move(hb)));
+  EXPECT_TRUE(hbType == "revoked" || hbType == "error") << hbType;
+
+  const auto system = service::buildSystem(job);
+  const auto engine = system->factory();
+  const auto pool = engine->enumeratePool(job.spec);
+  Json complete = Json::object();
+  complete.set("type", Json(std::string("complete")));
+  complete.set("fingerprint", Json(fp));
+  complete.set("lease_id", Json(u64Of(lease, "lease_id")));
+  complete.set("first", Json(beyond));
+  complete.set("outcomes", honestOutcomes(*engine, job.spec, pool, 0,
+                                          u64Of(lease, "count")));
+  EXPECT_EQ(typeOf(client.rpc(std::move(complete))), "error");
 }
 
 TEST(ServiceCoordinator, VanishedWorkerAfterPartialBlockDoesNotCorrupt) {

@@ -75,14 +75,15 @@ Json rpc(const service::Socket& sock, const Json& request) {
 }
 
 std::string stringField(const Json& j, const char* key) {
-  const Json* f = j.find(key);
-  return f != nullptr && f->isString() ? f->asString() : std::string();
+  std::string value;
+  obs::readString(j, key, value);
+  return value;
 }
 
 std::uint64_t numberField(const Json& j, const char* key) {
-  const Json* f = j.find(key);
-  return f != nullptr && f->isNumber() ? static_cast<std::uint64_t>(f->asInt())
-                                       : 0;
+  std::uint64_t value = 0;
+  obs::readU64(j, key, value);
+  return value;
 }
 
 /// Parse campaign_8051-style job arguments into a JobSpec.
