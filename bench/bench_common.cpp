@@ -1,7 +1,5 @@
 #include "bench_common.hpp"
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -10,6 +8,8 @@
 
 #include "campaign/artifact.hpp"
 #include "campaign/parallel.hpp"
+#include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "obs/artifact.hpp"
 #include "obs/log.hpp"
@@ -20,22 +20,17 @@ namespace fades::bench {
 
 namespace {
 
-/// Strict count parse: digits only, no overflow, at least `min`. Anything
-/// else exits 2 naming the source and the value - strtol would turn "abc"
-/// into 0, which as a job count silently means one worker per hardware
-/// thread.
+/// Strict count parse (common::parseUnsigned, at least `min`). Anything
+/// else exits 2 naming the source and the value - a lenient parse turns
+/// "abc" into 0, which as a job count silently means one worker per
+/// hardware thread.
 unsigned parseCount(const char* text, const char* what, unsigned min) {
-  const std::string s = text;
-  const bool digits =
-      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
-  errno = 0;
-  const unsigned long n = digits ? std::strtoul(text, nullptr, 10) : 0;
-  if (!digits || errno != 0 || n > UINT_MAX || n < min) {
-    std::fprintf(stderr, "error: %s expects %s integer, got '%s'\n", what,
-                 min == 0 ? "a non-negative" : "a positive", text);
+  try {
+    return common::parseUnsigned<unsigned>(text, what, min);
+  } catch (const common::FadesError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }
-  return static_cast<unsigned>(n);
 }
 
 unsigned envCount(const char* name, unsigned defaultCount) {

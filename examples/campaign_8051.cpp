@@ -16,8 +16,8 @@
 //     --engine execution engine for the simulator-backed tools: event
 //              (event-driven replay, default) or compiled (63 experiments
 //              per bit-parallel wave). Outcomes and artifacts are
-//              bit-identical either way; only wall-clock changes. Requires
-//              --tool vfit or autonomous.
+//              bit-identical either way; only wall-clock changes.
+//              compiled requires --tool vfit or autonomous.
 //     --jobs N shard the campaign across N worker threads, each with its
 //              own device replica ("auto" = one per hardware thread; env
 //              FADES_JOBS is the fallback; default 1). Changes wall-clock
@@ -58,27 +58,31 @@
 //     artifact write a fades.run/1 JSON (or .jsonl) run artifact here,
 //              with one record per experiment
 //
+// The job arguments (--tool, --engine, --link-faults and the five
+// positionals) are service::parseJobArgs's grammar, shared with
+// fades_submit; the combination rules are service::validate's. Malformed
+// arguments exit 2, a campaign that cannot be built or run exits 1.
+//
 // Example: ./build/examples/campaign_8051 --jobs 8 pulse lut alu 300 long
 //          run.json
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
+#include <exception>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "campaign/artifact.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/prune_plan.hpp"
+#include "campaign/report.hpp"
 #include "campaign/types.hpp"
+#include "common/error.hpp"
+#include "common/parse.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "service/jobspec.hpp"
-#include "sim/engine.hpp"
 
 using namespace fades;
 
@@ -103,312 +107,182 @@ constexpr const char* kUsage =
   std::exit(2);
 }
 
-/// Strict positive-integer parse: rejects empty input, non-digits, zero and
-/// overflow instead of inheriting strtoul's silent 0 / wraparound.
-unsigned parsePositive(const std::string& text, const char* what) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0 || value > UINT_MAX) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  return static_cast<unsigned>(value);
-}
-
-/// Strict keyword lookup: `text` must name one of `choices`. Anything else
-/// is a usage error naming the value, never a silent fall-back to the
-/// default (a mistyped band or a shifted artifact path would otherwise run
-/// the wrong campaign).
-template <class T>
-T parseChoice(const std::string& text, const char* what,
-              std::initializer_list<std::pair<const char*, T>> choices) {
-  std::string names;
-  for (const auto& [name, value] : choices) {
-    if (text == name) return value;
-    names += (names.empty() ? "" : " | ") + std::string(name);
-  }
-  usageError(std::string(what) + " expects " + names + ", got '" + text +
-             "'");
-}
-
 /// Worker count: a positive integer, or "auto" for one per hardware thread.
 unsigned parseJobs(const std::string& text, const char* what) {
   if (text == "auto") return 0;  // runner resolves 0 to hardware concurrency
-  return parsePositive(text, what);
-}
-
-double parseRate(const std::string& text, const char* what) {
-  if (text.empty()) usageError(std::string(what) + " expects a probability");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !(value >= 0.0) ||
-      value >= 1.0) {
-    usageError(std::string(what) + " expects a probability in [0, 1), got '" +
-               text + "'");
-  }
-  return value;
+  return common::parseUnsigned<unsigned>(text, what, 1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Flags may appear anywhere; everything else is positional.
+  // Flags may appear anywhere; whatever is not this CLI's own is job
+  // grammar. Malformed arguments exit 2.
   unsigned jobs = 1;
   bool frameCache = true;
-  double linkFaultRate = 0.0;
+  bool prune = false;
   std::string checkpointPath;
   bool resume = false;
   bool fsyncEachRecord = false;
-  bool prune = false;
   std::string prunePlanPath;
-  std::string toolArg = "fades";
-  std::string engineArg;
-  if (const char* env = std::getenv("FADES_JOBS")) {
-    jobs = parseJobs(env, "FADES_JOBS");
-  }
-  std::vector<std::string> positional;
-  auto flagValue = [&](int& i, const char* flag) {
-    if (i + 1 >= argc) usageError(std::string(flag) + " needs a value");
-    return std::string(argv[++i]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--jobs") {
-      jobs = parseJobs(flagValue(i, "--jobs"), "--jobs");
-    } else if (a == "--no-cache") {
-      frameCache = false;
-    } else if (a == "--link-faults") {
-      linkFaultRate = parseRate(flagValue(i, "--link-faults"), "--link-faults");
-    } else if (a == "--checkpoint") {
-      checkpointPath = flagValue(i, "--checkpoint");
-    } else if (a == "--resume") {
-      resume = true;
-    } else if (a == "--fsync") {
-      fsyncEachRecord = true;
-    } else if (a == "--prune") {
-      prune = true;
-    } else if (a == "--prune-plan") {
-      prunePlanPath = flagValue(i, "--prune-plan");
-      prune = true;
-    } else if (a == "--tool") {
-      toolArg = flagValue(i, "--tool");
-    } else if (a == "--engine") {
-      engineArg = flagValue(i, "--engine");
-    } else if (!a.empty() && a[0] == '-') {
-      usageError("unknown flag '" + a + "'");
-    } else {
-      positional.push_back(a);
-    }
-  }
-  if (resume && checkpointPath.empty()) {
-    usageError("--resume requires --checkpoint FILE");
-  }
-  if (toolArg != "fades" && toolArg != "vfit" && toolArg != "autonomous") {
-    usageError("--tool expects fades, vfit or autonomous, got '" + toolArg +
-               "'");
-  }
-  sim::EngineKind engineKind = sim::EngineKind::EventDriven;
-  if (!engineArg.empty()) {
-    if (toolArg == "fades") {
-      usageError("--engine requires --tool vfit or autonomous (FADES drives "
-                 "the FPGA)");
-    }
-    if (!sim::engineKindFromString(engineArg, engineKind)) {
-      usageError("--engine expects event or compiled, got '" + engineArg +
-                 "'");
-    }
-  }
-  if (toolArg != "fades" && linkFaultRate > 0.0) {
-    usageError("--link-faults requires --tool fades (the other injectors "
-               "move no frames over a board link)");
-  }
-  if (prune && toolArg == "autonomous") {
-    usageError("--prune requires --tool fades or vfit (the autonomous "
-               "backend cannot synthesize collapsed outcomes)");
-  }
-  if (prune && linkFaultRate > 0.0) {
-    usageError("--prune requires a reliable link: a faulted link can "
-               "quarantine a class representative its members would have "
-               "survived, breaking byte-identity with the unpruned run");
-  }
-  if (positional.size() > 6) {
-    usageError("too many positional arguments");
-  }
-  auto arg = [&](std::size_t i, const char* def) {
-    return i < positional.size() ? positional[i] : std::string(def);
-  };
-  const std::string modelArg = arg(0, "bitflip");
-  const std::string targetArg = arg(1, "ff");
-  const std::string unitArg = arg(2, "any");
-  const unsigned faults = parsePositive(arg(3, "200"), "faults");
-  const std::string bandArg = arg(4, "short");
-  const std::string artifactPath = arg(5, "");
-
-  // The job spec is the same structure the distributed service ships to
-  // workers, and the system is built through the same service::buildSystem -
-  // so "coordinator + workers" and "this CLI at --jobs 1" produce artifacts
-  // that are byte-identical by construction, not by parallel maintenance of
-  // two setups.
+  std::string artifactPath;
   service::JobSpec job;
-  job.tool = toolArg;
-  job.engine = engineArg.empty() ? "event" : engineArg;
-  job.workload = "bubblesort6";
-  job.linkFaultRate = linkFaultRate;
-  job.prune = prune;
-  // Console detail only for small campaigns, but an artifact request keeps
-  // the per-experiment records regardless so the JSON carries every row.
-  job.keepRecords = faults <= 40 || !artifactPath.empty();
-  job.name = modelArg + "_" + targetArg + "_" + unitArg;
-  job.spec.experiments = faults;
-  job.spec.seed = 2006;
-  using campaign::FaultModel;
-  using campaign::TargetClass;
-  using netlist::Unit;
-  job.spec.model = parseChoice<FaultModel>(
-      modelArg, "model",
-      {{"bitflip", FaultModel::BitFlip},
-       {"pulse", FaultModel::Pulse},
-       {"delay", FaultModel::Delay},
-       {"indet", FaultModel::Indetermination}});
-  job.spec.targets = parseChoice<TargetClass>(
-      targetArg, "targets",
-      {{"ff", TargetClass::SequentialFF},
-       {"memory", TargetClass::MemoryBlockBit},
-       {"lut", TargetClass::CombinationalLut},
-       {"seqline", TargetClass::SequentialLine},
-       {"combline", TargetClass::CombinationalLine}});
-  job.spec.unit = static_cast<int>(parseChoice<Unit>(
-      unitArg, "unit",
-      {{"any", Unit::None},
-       {"registers", Unit::Registers},
-       {"ram", Unit::Ram},
-       {"alu", Unit::Alu},
-       {"mem", Unit::MemCtrl},
-       {"fsm", Unit::Fsm}}));
-  job.spec.band = parseChoice<campaign::DurationBand>(
-      bandArg, "band",
-      {{"sub", campaign::DurationBand::subCycle()},
-       {"short", campaign::DurationBand::shortBand()},
-       {"long", campaign::DurationBand::longBand()}});
-  const campaign::CampaignSpec& spec = job.spec;
-
-  std::printf("Building the MC8051 + Bubblesort system...\n");
-  service::BuildKnobs knobs;
-  knobs.sessionFrameCache = frameCache;
-  const auto system = service::buildSystem(job, knobs);
-
-  // Both jobs paths run every experiment through the same stateless
-  // per-index derivation, so the runner yields bit-identical results for
-  // any worker count - only the wall-clock changes.
-  campaign::ParallelOptions popt;
-  popt.jobs = jobs;
-  popt.progressInterval = 100;
-  campaign::PrunePlan plan;
-  if (prune) {
-    std::printf("Deriving the fault-list prune plan from the golden run...\n");
-    plan = service::buildPrunePlan(*system);
-    std::printf("%s\n", campaign::accountingLine(plan).c_str());
-    if (!prunePlanPath.empty()) {
-      const std::string text = campaign::toJson(plan).dump(2) + "\n";
-      FILE* f = std::fopen(prunePlanPath.c_str(), "w");
-      bool ok = f != nullptr &&
-                std::fwrite(text.data(), 1, text.size(), f) == text.size();
-      if (f != nullptr) ok = (std::fclose(f) == 0) && ok;
-      if (!ok) {
-        std::fprintf(stderr, "error: cannot write prune plan to %s\n",
-                     prunePlanPath.c_str());
-        return 1;
+  try {
+    if (const char* env = std::getenv("FADES_JOBS")) {
+      jobs = parseJobs(env, "FADES_JOBS");
+    }
+    std::vector<std::string> jobArgs;
+    auto flagValue = [&](int& i, const char* flag) {
+      if (i + 1 >= argc) usageError(std::string(flag) + " needs a value");
+      return std::string(argv[++i]);
+    };
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--jobs") {
+        jobs = parseJobs(flagValue(i, "--jobs"), "--jobs");
+      } else if (a == "--no-cache") {
+        frameCache = false;
+      } else if (a == "--checkpoint") {
+        checkpointPath = flagValue(i, "--checkpoint");
+      } else if (a == "--resume") {
+        resume = true;
+      } else if (a == "--fsync") {
+        fsyncEachRecord = true;
+      } else if (a == "--prune") {
+        prune = true;
+      } else if (a == "--prune-plan") {
+        prunePlanPath = flagValue(i, "--prune-plan");
+        prune = true;
+      } else {
+        jobArgs.push_back(a);
       }
-      std::printf("Wrote prune plan: %s (%zu classes)\n",
-                  prunePlanPath.c_str(), plan.classes.size());
     }
-    popt.prunePlan = &plan;
+    if (resume && checkpointPath.empty()) {
+      usageError("--resume requires --checkpoint FILE");
+    }
+    // The job spec is the same structure the distributed service ships to
+    // workers, and the system is built through the same
+    // service::buildSystem - so "coordinator + workers" and "this CLI at
+    // --jobs 1" produce artifacts that are byte-identical by construction,
+    // not by parallel maintenance of two setups.
+    job = service::parseJobArgs(jobArgs, &artifactPath);
+    job.prune = prune;
+    // Console detail only for small campaigns, but an artifact request
+    // keeps the per-experiment records regardless so the JSON carries
+    // every row.
+    job.keepRecords = job.spec.experiments <= 40 || !artifactPath.empty();
+    service::validate(job);
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
   }
-  std::unique_ptr<campaign::CampaignJournal> journal;
-  if (!checkpointPath.empty()) {
-    journal = std::make_unique<campaign::CampaignJournal>(
-        checkpointPath, fsyncEachRecord ? campaign::FsyncPolicy::EachRecord
-                                        : campaign::FsyncPolicy::Never);
-    popt.journal = journal.get();
-    popt.resume = resume;
-  }
-  campaign::ParallelCampaignRunner runner(system->factory, popt);
 
-  std::printf("Running %u %s faults on %s",
-              spec.experiments, campaign::toString(spec.model),
-              campaign::toString(spec.targets));
-  std::printf(" (tool %s%s%s, unit %s, duration %s cycles, %u worker%s)...\n",
-              toolArg.c_str(), toolArg != "fades" ? " engine " : "",
-              toolArg != "fades" ? sim::toString(engineKind) : "",
-              unitArg.c_str(), spec.band.label.c_str(), runner.jobs(),
-              runner.jobs() == 1 ? "" : "s");
-  const auto result = runner.run(spec);
+  // An empty target pool, an unwritable journal or artifact path: report
+  // and exit 1 instead of aborting with an uncaught exception.
+  try {
+    const campaign::CampaignSpec& spec = job.spec;
+    std::printf("Building the MC8051 + Bubblesort system...\n");
+    service::BuildKnobs knobs;
+    knobs.sessionFrameCache = frameCache;
+    const auto system = service::buildSystem(job, knobs);
 
-  std::printf("\nResults of %zu experiments:\n", result.total());
-  std::printf("  failures: %5zu (%.2f %%)\n", result.failures,
-              result.failurePct());
-  std::printf("  latent:   %5zu (%.2f %%)\n", result.latents,
-              result.latentPct());
-  std::printf("  silent:   %5zu (%.2f %%)\n", result.silents,
-              result.silentPct());
-  std::printf("  modeled emulation time: %.3f s/fault (total %.0f s for the "
-              "campaign)\n",
-              result.modeledSeconds.mean(), result.modeledSeconds.sum());
-  if (toolArg == "fades") {
-    // Host-side effort, kept out of the artifact: device cycles emulated
-    // and experiments stopped early once back on the golden run.
-    auto& registry = obs::Registry::global();
-    std::printf("  device cycles executed: %llu (%llu experiments stopped "
-                "early, back on the golden run)\n",
-                static_cast<unsigned long long>(
-                    registry.counter("fades.cycles_executed").value()),
-                static_cast<unsigned long long>(
-                    registry.counter("fades.early_silent_exits").value()));
-  }
-  if (!result.quarantined.empty()) {
-    std::printf("  quarantined: %zu experiment(s) after persistent transient "
-                "errors:\n",
-                result.quarantined.size());
-    for (const auto& q : result.quarantined) {
-      std::printf("    #%llu  %s (%u attempts): %s\n",
-                  static_cast<unsigned long long>(q.index),
-                  common::toString(q.kind), q.attempts, q.error.c_str());
+    // Both jobs paths run every experiment through the same stateless
+    // per-index derivation, so the runner yields bit-identical results for
+    // any worker count - only the wall-clock changes.
+    campaign::ParallelOptions popt;
+    popt.jobs = jobs;
+    popt.progressInterval = 100;
+    campaign::PrunePlan plan;
+    if (prune) {
+      std::printf(
+          "Deriving the fault-list prune plan from the golden run...\n");
+      plan = service::buildPrunePlan(*system);
+      std::printf("%s\n", campaign::accountingLine(plan).c_str());
+      if (!prunePlanPath.empty()) {
+        campaign::writeTextFile(prunePlanPath,
+                                campaign::toJson(plan).dump(2) + "\n");
+        std::printf("Wrote prune plan: %s (%zu classes)\n",
+                    prunePlanPath.c_str(), plan.classes.size());
+      }
+      popt.prunePlan = &plan;
     }
-  }
-  if (faults <= 40) {
-    for (const auto& r : result.records) {
-      std::printf("    cycle %5llu  %-10s  dur %5.2f  %s\n",
-                  static_cast<unsigned long long>(r.injectCycle),
-                  r.targetName.c_str(), r.durationCycles,
-                  campaign::toString(r.outcome));
+    std::unique_ptr<campaign::CampaignJournal> journal;
+    if (!checkpointPath.empty()) {
+      journal = std::make_unique<campaign::CampaignJournal>(
+          checkpointPath, fsyncEachRecord ? campaign::FsyncPolicy::EachRecord
+                                          : campaign::FsyncPolicy::Never);
+      popt.journal = journal.get();
+      popt.resume = resume;
     }
-  }
-  if (!artifactPath.empty()) {
-    // Exclude the process metrics snapshot: it reflects replica setup and
-    // scheduling, which would break the artifact's --jobs byte-identity.
-    const auto artifact = campaign::toRunArtifact(
-        result, modelArg + "_" + targetArg + "_" + unitArg,
-        /*includeMetrics=*/false);
-    // Don't let a bad path abort after minutes of campaign: report and fail.
-    try {
+    campaign::ParallelCampaignRunner runner(system->factory, popt);
+
+    const bool fades = job.tool == "fades";
+    std::printf("Running %u %s faults on %s",
+                spec.experiments, campaign::toString(spec.model),
+                campaign::toString(spec.targets));
+    std::printf(" (tool %s%s%s, unit %s, duration %s cycles, %u worker%s)...\n",
+                job.tool.c_str(), fades ? "" : " engine ",
+                fades ? "" : job.engine.c_str(),
+                service::spelling(static_cast<netlist::Unit>(spec.unit)),
+                spec.band.label.c_str(), runner.jobs(),
+                runner.jobs() == 1 ? "" : "s");
+    const auto result = runner.run(spec);
+
+    std::printf("\nResults of %zu experiments:\n", result.total());
+    std::printf("  failures: %5zu (%.2f %%)\n", result.failures,
+                result.failurePct());
+    std::printf("  latent:   %5zu (%.2f %%)\n", result.latents,
+                result.latentPct());
+    std::printf("  silent:   %5zu (%.2f %%)\n", result.silents,
+                result.silentPct());
+    std::printf("  modeled emulation time: %.3f s/fault (total %.0f s for the "
+                "campaign)\n",
+                result.modeledSeconds.mean(), result.modeledSeconds.sum());
+    if (fades) {
+      // Host-side effort, kept out of the artifact: device cycles emulated
+      // and experiments stopped early once back on the golden run.
+      auto& registry = obs::Registry::global();
+      std::printf("  device cycles executed: %llu (%llu experiments stopped "
+                  "early, back on the golden run)\n",
+                  static_cast<unsigned long long>(
+                      registry.counter("fades.cycles_executed").value()),
+                  static_cast<unsigned long long>(
+                      registry.counter("fades.early_silent_exits").value()));
+    }
+    if (!result.quarantined.empty()) {
+      std::printf("  quarantined: %zu experiment(s) after persistent transient "
+                  "errors:\n",
+                  result.quarantined.size());
+      for (const auto& q : result.quarantined) {
+        std::printf("    #%llu  %s (%u attempts): %s\n",
+                    static_cast<unsigned long long>(q.index),
+                    common::toString(q.kind), q.attempts, q.error.c_str());
+      }
+    }
+    if (spec.experiments <= 40) {
+      for (const auto& r : result.records) {
+        std::printf("    cycle %5llu  %-10s  dur %5.2f  %s\n",
+                    static_cast<unsigned long long>(r.injectCycle),
+                    r.targetName.c_str(), r.durationCycles,
+                    campaign::toString(r.outcome));
+      }
+    }
+    if (!artifactPath.empty()) {
+      // Exclude the process metrics snapshot: it reflects replica setup and
+      // scheduling, which would break the artifact's --jobs byte-identity.
+      const auto artifact =
+          campaign::toRunArtifact(result, job.name, /*includeMetrics=*/false);
       if (artifactPath.size() > 6 &&
           artifactPath.substr(artifactPath.size() - 6) == ".jsonl") {
         artifact.writeJsonl(artifactPath);
       } else {
         artifact.writeJson(artifactPath);
       }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+      std::printf("Wrote run artifact: %s (%zu records)\n",
+                  artifactPath.c_str(), artifact.recordCount());
     }
-    std::printf("Wrote run artifact: %s (%zu records)\n",
-                artifactPath.c_str(), artifact.recordCount());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   return 0;
 }

@@ -113,11 +113,12 @@ campaign::ExperimentOutcome AutonomousTool::runExperimentAt(
 
 std::vector<campaign::ExperimentOutcome> AutonomousTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
-  auto outs = vfit_.runWaveAt(spec, pool, indices, rerun);
+    std::span<const unsigned> indices, unsigned /*rerun*/) {
+  // Plan once: the semantic wave and the re-metering read the same plans.
+  const auto plans = vfit_.planWave(spec, pool, indices);
+  auto outs = vfit_.runWave(spec, plans);
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    outs[i] = remeter(std::move(outs[i]),
-                      vfit_.planExperiment(spec, pool, indices[i]).commands);
+    outs[i] = remeter(std::move(outs[i]), plans[i].commands);
   }
   return outs;
 }

@@ -4,6 +4,7 @@
 
 #include "campaign/artifact.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "core/autonomous.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
@@ -118,33 +119,122 @@ void validate(const JobSpec& job) {
           "pruning requires a reliable link (no --link-faults)");
 }
 
+namespace {
+
+/// One spelling table per enum: the keywords the job command line accepts
+/// and spelling() prints.
+template <class T>
+struct Spelling {
+  const char* name;
+  T value;
+};
+
+using campaign::FaultModel;
+using campaign::TargetClass;
+using netlist::Unit;
+
+constexpr Spelling<FaultModel> kModels[] = {
+    {"bitflip", FaultModel::BitFlip}, {"pulse", FaultModel::Pulse},
+    {"delay", FaultModel::Delay}, {"indet", FaultModel::Indetermination}};
+constexpr Spelling<TargetClass> kTargets[] = {
+    {"ff", TargetClass::SequentialFF},
+    {"memory", TargetClass::MemoryBlockBit},
+    {"lut", TargetClass::CombinationalLut},
+    {"seqline", TargetClass::SequentialLine},
+    {"combline", TargetClass::CombinationalLine}};
+constexpr Spelling<Unit> kUnits[] = {
+    {"any", Unit::None}, {"registers", Unit::Registers}, {"ram", Unit::Ram},
+    {"alu", Unit::Alu},  {"mem", Unit::MemCtrl},         {"fsm", Unit::Fsm}};
+constexpr Spelling<campaign::DurationBand (*)()> kBands[] = {
+    {"sub", &campaign::DurationBand::subCycle},
+    {"short", &campaign::DurationBand::shortBand},
+    {"long", &campaign::DurationBand::longBand}};
+
+/// Unlisted values print as the first spelling, as an out-of-range unit
+/// read from a job file always has.
+template <class T, std::size_t N>
+const char* nameOf(const Spelling<T> (&table)[N], T value) {
+  for (const auto& s : table) {
+    if (s.value == value) return s.name;
+  }
+  return table[0].name;
+}
+
+/// Strict keyword lookup: a mistyped band or a shifted artifact path is an
+/// error naming the value, never a silent fall-back to the default.
+template <class T, std::size_t N>
+T parseSpelling(const Spelling<T> (&table)[N], const std::string& text,
+                const char* what) {
+  std::string names;
+  for (const auto& s : table) {
+    if (text == s.name) return s.value;
+    names += (names.empty() ? "" : " | ") + std::string(s.name);
+  }
+  common::raise(ErrorKind::InvalidArgument, std::string(what) + " expects " +
+                                                names + ", got '" + text +
+                                                "'");
+}
+
+}  // namespace
+
+const char* spelling(FaultModel model) { return nameOf(kModels, model); }
+
+const char* spelling(TargetClass targets) {
+  return targets == TargetClass::CbInputLine ? "cbinput"
+                                             : nameOf(kTargets, targets);
+}
+
+const char* spelling(Unit unit) { return nameOf(kUnits, unit); }
+
 std::string defaultName(const JobSpec& job) {
-  std::string model = "bitflip";
-  switch (job.spec.model) {
-    case campaign::FaultModel::BitFlip: model = "bitflip"; break;
-    case campaign::FaultModel::Pulse: model = "pulse"; break;
-    case campaign::FaultModel::Delay: model = "delay"; break;
-    case campaign::FaultModel::Indetermination: model = "indet"; break;
+  return std::string(spelling(job.spec.model)) + "_" +
+         spelling(job.spec.targets) + "_" +
+         spelling(static_cast<Unit>(job.spec.unit));
+}
+
+JobSpec parseJobArgs(const std::vector<std::string>& args,
+                     std::string* trailing) {
+  JobSpec job;
+  std::vector<std::string> positional;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    auto value = [&]() -> const std::string& {
+      require(i + 1 < args.size(), ErrorKind::InvalidArgument,
+              a + " needs a value");
+      return args[++i];
+    };
+    if (a == "--tool") {
+      job.tool = value();
+    } else if (a == "--engine") {
+      job.engine = value();
+    } else if (a == "--link-faults") {
+      job.linkFaultRate = common::parseProbability(value(), a);
+    } else if (!a.empty() && a[0] == '-') {
+      common::raise(ErrorKind::InvalidArgument, "unknown flag '" + a + "'");
+    } else {
+      positional.push_back(a);
+    }
   }
-  std::string targets = "ff";
-  switch (job.spec.targets) {
-    case campaign::TargetClass::SequentialFF: targets = "ff"; break;
-    case campaign::TargetClass::MemoryBlockBit: targets = "memory"; break;
-    case campaign::TargetClass::CombinationalLut: targets = "lut"; break;
-    case campaign::TargetClass::CbInputLine: targets = "cbinput"; break;
-    case campaign::TargetClass::SequentialLine: targets = "seqline"; break;
-    case campaign::TargetClass::CombinationalLine: targets = "combline"; break;
+  require(positional.size() <= (trailing != nullptr ? 6u : 5u),
+          ErrorKind::InvalidArgument, "too many positional arguments");
+  // Omitted positionals keep the defaults: bitflip ff any 200 short.
+  const std::size_t given = positional.size();
+  CampaignSpec& spec = job.spec;
+  if (given > 0) spec.model = parseSpelling(kModels, positional[0], "model");
+  if (given > 1) {
+    spec.targets = parseSpelling(kTargets, positional[1], "targets");
   }
-  std::string unit = "any";
-  switch (static_cast<netlist::Unit>(job.spec.unit)) {
-    case netlist::Unit::None: unit = "any"; break;
-    case netlist::Unit::Registers: unit = "registers"; break;
-    case netlist::Unit::Ram: unit = "ram"; break;
-    case netlist::Unit::Alu: unit = "alu"; break;
-    case netlist::Unit::MemCtrl: unit = "mem"; break;
-    case netlist::Unit::Fsm: unit = "fsm"; break;
+  if (given > 2) {
+    spec.unit = static_cast<int>(parseSpelling(kUnits, positional[2], "unit"));
   }
-  return model + "_" + targets + "_" + unit;
+  spec.experiments =
+      given > 3 ? common::parseUnsigned<unsigned>(positional[3], "faults", 1)
+                : 200;
+  if (given > 4) spec.band = parseSpelling(kBands, positional[4], "band")();
+  if (given > 5) *trailing = positional[5];
+  spec.seed = 2006;
+  job.name = defaultName(job);
+  return job;
 }
 
 std::string fingerprint(const JobSpec& job) {
@@ -213,11 +303,9 @@ std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
 
   sys->observedOutputs = observed;
 
-  sim::EngineKind engineKind = sim::EngineKind::EventDriven;
-  if (job.engine == "compiled") {
-    const bool ok = sim::engineKindFromString(job.engine, engineKind);
-    require(ok, ErrorKind::InvalidArgument, "unknown engine " + job.engine);
-  }
+  const sim::EngineKind engineKind = job.engine == "compiled"
+                                         ? sim::EngineKind::Compiled
+                                         : sim::EngineKind::EventDriven;
 
   if (job.tool == "vfit") {
     vfit::VfitOptions vopt;

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "campaign/parallel.hpp"
 #include "campaign/prune_plan.hpp"
@@ -69,6 +70,23 @@ bool jobSpecFromJson(const obs::Json& j, JobSpec& out,
 /// experiment count, or inconsistent combinations (--engine with fades,
 /// link faults without fades).
 void validate(const JobSpec& job);
+
+/// The job command line campaign_8051 and fades_submit share, after each
+/// CLI has taken out its own flags: [--tool T] [--engine E]
+/// [--link-faults R] [model] [targets] [unit] [faults] [band], defaulting
+/// to bitflip ff any 200 short, seed 2006, name defaultName(). A non-null
+/// `trailing` takes one more positional (campaign_8051's artifact path).
+/// Malformed input raises InvalidArgument; the combination rules are
+/// validate()'s, to call once the CLI's own fields are set.
+JobSpec parseJobArgs(const std::vector<std::string>& args,
+                     std::string* trailing = nullptr);
+
+/// Command-line spelling of each value ("bitflip", "ff", "any", ...).
+/// CbInputLine is named "cbinput" but never parsed: the MC8051 has no
+/// CB-input targets.
+const char* spelling(campaign::FaultModel model);
+const char* spelling(campaign::TargetClass targets);
+const char* spelling(netlist::Unit unit);
 
 /// The campaign_8051 artifact naming convention: model_targets_unit using
 /// the CLI argument spellings (e.g. "bitflip_ff_any").

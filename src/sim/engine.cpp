@@ -14,18 +14,6 @@ const char* toString(EngineKind kind) {
   return "?";
 }
 
-bool engineKindFromString(std::string_view text, EngineKind& out) {
-  if (text == "event") {
-    out = EngineKind::EventDriven;
-    return true;
-  }
-  if (text == "compiled") {
-    out = EngineKind::Compiled;
-    return true;
-  }
-  return false;
-}
-
 std::unique_ptr<Engine> makeEngine(EngineKind kind,
                                    const netlist::Netlist& netlist) {
   switch (kind) {

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -26,9 +25,6 @@ namespace fades::sim {
 enum class EngineKind : std::uint8_t { EventDriven, Compiled };
 
 const char* toString(EngineKind kind);
-/// Inverse of toString(EngineKind) ("event" / "compiled"); false when
-/// `text` names no engine.
-bool engineKindFromString(std::string_view text, EngineKind& out);
 
 class Engine {
  public:

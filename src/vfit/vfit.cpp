@@ -100,10 +100,12 @@ std::vector<NetId> VfitTool::signalTargets(Unit unit) const {
   return out;
 }
 
-std::vector<RamId> VfitTool::ramTargets() const {
+std::vector<RamId> VfitTool::ramTargets(Unit unit) const {
   std::vector<RamId> out;
   for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
-    if (!nl_.ram(RamId{r}).isRom()) out.push_back(RamId{r});
+    const auto& ram = nl_.ram(RamId{r});
+    if (ram.isRom()) continue;
+    if (unit == Unit::None || ram.unit == unit) out.push_back(RamId{r});
   }
   return out;
 }
@@ -211,7 +213,7 @@ std::vector<std::uint32_t> VfitTool::enumeratePool(
       for (auto f : flopTargets(unit)) targets.push_back(f.value);
       break;
     case TargetClass::MemoryBlockBit: {
-      for (auto r : ramTargets()) {
+      for (auto r : ramTargets(unit)) {
         const auto& ram = nl_.ram(r);
         // Encode every stored bit as a target.
         for (std::size_t row = 0; row < ram.depth(); ++row) {
@@ -313,6 +315,17 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
   return p;
 }
 
+std::vector<VfitTool::LanePlan> VfitTool::planWave(
+    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
+    std::span<const unsigned> indices) const {
+  std::vector<LanePlan> plans;
+  plans.reserve(indices.size());
+  for (const unsigned index : indices) {
+    plans.push_back(planExperiment(spec, pool, index));
+  }
+  return plans;
+}
+
 campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
                                                   const LanePlan& plan,
                                                   Outcome outcome) const {
@@ -368,21 +381,23 @@ unsigned VfitTool::waveWidth() const {
 
 std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
+    std::span<const unsigned> indices, unsigned /*rerun*/) {
+  return runWave(spec, planWave(spec, pool, indices));
+}
+
+std::vector<campaign::ExperimentOutcome> VfitTool::runWave(
+    const CampaignSpec& spec, std::span<const LanePlan> plans) {
   if (csim_ == nullptr) {
-    return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
+    std::vector<campaign::ExperimentOutcome> out;
+    out.reserve(plans.size());
+    for (const LanePlan& plan : plans) out.push_back(runPlan(spec, plan));
+    return out;
   }
-  require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
+  require(plans.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
 
   using Word = sim::CompiledSimulator::Word;
-  const unsigned n = static_cast<unsigned>(indices.size());
-  std::vector<LanePlan> plans;
-  plans.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    plans.push_back(planExperiment(spec, pool, indices[i]));
-  }
-
+  const unsigned n = static_cast<unsigned>(plans.size());
   auto& csim = *csim_;
   csim.reset();
 

@@ -90,7 +90,8 @@ class VfitTool final : public campaign::CampaignEngine {
   /// Named combinational signals (HDL-level view: only signals that exist
   /// by name in the model, the way a VHDL tool sees them).
   std::vector<NetId> signalTargets(Unit unit) const;
-  std::vector<RamId> ramTargets() const;
+  /// Writable memories (ROMs excluded) of `unit`, like FADES' RAM targets.
+  std::vector<RamId> ramTargets(Unit unit) const;
 
   /// Deterministic target enumeration for a spec (the fault-location
   /// process); shared by the campaign runner and the bit-parallel wave path.
@@ -151,9 +152,20 @@ class VfitTool final : public campaign::CampaignEngine {
   LanePlan planExperiment(const CampaignSpec& spec,
                           std::span<const std::uint32_t> pool,
                           unsigned index) const;
+  /// planExperiment for each of `indices`, in order.
+  std::vector<LanePlan> planWave(const CampaignSpec& spec,
+                                 std::span<const std::uint32_t> pool,
+                                 std::span<const unsigned> indices) const;
   /// Execute `plan` on the event-driven engine and meter it.
   campaign::ExperimentOutcome runPlan(const CampaignSpec& spec,
                                       const LanePlan& plan);
+  /// Execute already-built plans: one bit-parallel pass on the compiled
+  /// engine (at most kWaveExperiments), runPlan one by one on the
+  /// event-driven engine. runWaveAt is planWave plus this, so the
+  /// autonomous backend plans a wave once and re-meters from the same
+  /// plans.
+  std::vector<campaign::ExperimentOutcome> runWave(
+      const CampaignSpec& spec, std::span<const LanePlan> plans);
 
   /// Materialize experiment `index` from its fades.prune/1 class
   /// representative without simulating: the cost model is a pure function

@@ -8,6 +8,7 @@
 //   * byte-identical run artifacts across --jobs 1/8 and both execution
 //     engines through the sharded campaign runner;
 //   * the MC8051 + Bubblesort workload, FF and memory campaigns;
+//   * memory target pools confined to the selected unit, as FADES's are;
 //   * 4-way oracle (FADES / VFIT / autonomous / golden ISS) agreement on a
 //     constructed matrix of cases and on the committed RTL corpus (the
 //     corpus-label test replays the microcontroller cases).
@@ -15,11 +16,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/artifact.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
+#include "common/error.hpp"
 #include "core/autonomous.hpp"
 #include "diffcheck/case_spec.hpp"
 #include "diffcheck/gen.hpp"
@@ -27,6 +30,7 @@
 #include "mc8051/core.hpp"
 #include "mc8051/workloads.hpp"
 #include "netlist/netlist.hpp"
+#include "rtl/builder.hpp"
 #include "sim/engine.hpp"
 #include "vfit/vfit.hpp"
 
@@ -202,6 +206,66 @@ TEST(AutonomousEquivalence, Mc8051BubblesortMatchesVfit) {
       EXPECT_EQ(vres.records[i].targetName, ares.records[i].targetName);
       EXPECT_EQ(vres.records[i].injectCycle, ares.records[i].injectCycle);
       EXPECT_EQ(vres.records[i].outcome, ares.records[i].outcome);
+    }
+  }
+}
+
+TEST(AutonomousEquivalence, MemoryPoolsFollowTheUnit) {
+  // One writable RAM in the Ram unit (8 rows x 3 bits), one in MemCtrl
+  // (4 x 3) and a MemCtrl ROM, which is never a target.
+  using netlist::Unit;
+  rtl::Builder b;
+  b.setUnit(Unit::Fsm);
+  rtl::Register cnt = b.makeRegister("cnt", 3, 0);
+  b.connect(cnt, b.increment(cnt.q));
+  const rtl::Bus low{cnt.q[0], cnt.q[1]};
+  b.setUnit(Unit::Ram);
+  b.output("a", b.ram("a", 3, 3, cnt.q, cnt.q, b.one()));
+  b.setUnit(Unit::MemCtrl);
+  b.output("b", b.ram("b", 2, 3, low, cnt.q, b.one()));
+  b.output("c", b.rom("c", 2, 3, low, {1, 2, 3, 4}));
+  const Netlist nl = b.finish();
+
+  vfit::VfitOptions vOpt;
+  vOpt.observedOutputs = {"a", "b", "c"};
+  vfit::VfitTool vfit(nl, 16, vOpt);
+  core::AutonomousOptions aOpt;
+  aOpt.observedOutputs = vOpt.observedOutputs;
+  core::AutonomousTool aut(nl, 16, aOpt);
+
+  // Each RAM bit is ram << 24 | row << 8 | bit.
+  auto bits = [](std::uint32_t ram, std::uint32_t rows) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t row = 0; row < rows; ++row) {
+      for (std::uint32_t bit = 0; bit < 3; ++bit) {
+        out.push_back(ram << 24 | row << 8 | bit);
+      }
+    }
+    return out;
+  };
+  std::vector<std::uint32_t> both = bits(0, 8);
+  for (const auto t : bits(1, 4)) both.push_back(t);
+
+  CampaignSpec spec;
+  spec.targets = TargetClass::MemoryBlockBit;
+  const std::pair<Unit, std::vector<std::uint32_t>> cases[] = {
+      {Unit::None, both}, {Unit::Ram, bits(0, 8)}, {Unit::MemCtrl, bits(1, 4)}};
+  for (const auto& [unit, expected] : cases) {
+    spec.unit = static_cast<int>(unit);
+    EXPECT_EQ(vfit.enumeratePool(spec), expected) << netlist::toString(unit);
+    EXPECT_EQ(aut.enumeratePool(spec), expected) << netlist::toString(unit);
+  }
+  for (const Unit empty : {Unit::Fsm, Unit::Alu}) {
+    spec.unit = static_cast<int>(empty);
+    for (campaign::CampaignEngine* tool :
+         {static_cast<campaign::CampaignEngine*>(&vfit),
+          static_cast<campaign::CampaignEngine*>(&aut)}) {
+      try {
+        tool->enumeratePool(spec);
+        ADD_FAILURE() << "pool of unit " << netlist::toString(empty);
+      } catch (const common::FadesError& e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::InjectionError);
+      }
     }
   }
 }

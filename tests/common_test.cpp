@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -255,6 +258,45 @@ TEST(Stats, RenderTableKeepsExtraRowCells) {
   EXPECT_NE(t.find("| x | wide-cell |"), std::string::npos);
   EXPECT_NE(t.find("| y |           |"), std::string::npos);
   EXPECT_NE(t.find("| a |           |"), std::string::npos);
+}
+
+TEST(Parse, UnsignedIsDigitsOnlyAndInRange) {
+  EXPECT_EQ(common::parseUnsigned("0", "n", 0, 10), 0u);
+  EXPECT_EQ(common::parseUnsigned("10", "n", 0, 10), 10u);
+  EXPECT_EQ(common::parseUnsigned("18446744073709551615", "n", 0, UINT64_MAX),
+            UINT64_MAX);
+  EXPECT_EQ(common::parseUnsigned<std::uint16_t>("65535", "--port", 1), 65535);
+  EXPECT_EQ(common::parseUnsigned<int>("2147483647", "--lease-ms", 1),
+            2147483647);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12abc", "abc", "1e3",
+                          "0x10", "11", "18446744073709551616"}) {
+    EXPECT_THROW(common::parseUnsigned(bad, "n", 0, 10), common::FadesError)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW(common::parseUnsigned<std::uint16_t>("70000", "--port", 1),
+               common::FadesError);
+  EXPECT_THROW(common::parseUnsigned<int>("2147483648", "--lease-ms", 1),
+               common::FadesError);
+  try {
+    common::parseUnsigned<unsigned>("0", "faults", 1);
+    ADD_FAILURE() << "0 accepted";
+  } catch (const common::FadesError& e) {
+    EXPECT_EQ(e.kind(), common::ErrorKind::InvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("faults"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'0'"), std::string::npos);
+  }
+}
+
+TEST(Parse, ProbabilityIsHalfOpenUnitInterval) {
+  EXPECT_EQ(common::parseProbability("0", "r"), 0.0);
+  EXPECT_EQ(common::parseProbability("0.02", "r"), 0.02);
+  EXPECT_EQ(common::parseProbability("0.999", "r"), 0.999);
+  for (const char* bad :
+       {"", "1", "1.5", "-0.1", "+0.5", " 0.5", "0x0.8", "abc", "0.5x", "nan",
+        "inf", "1e400"}) {
+    EXPECT_THROW(common::parseProbability(bad, "r"), common::FadesError)
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -24,12 +24,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
+#include "netlist/netlist.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -255,6 +258,181 @@ TEST(ServiceJobSpec, ValidateRejectsNonsense) {
   job = demoJob(8);
   job.linkFaultRate = 1.5;
   EXPECT_THROW(service::validate(job), common::FadesError);
+}
+
+// ---------------------------------------------------------------------------
+// The job command line campaign_8051 and fades_submit share
+
+using Args = std::vector<std::string>;
+
+TEST(ServiceJobArgs, EverySpellingParsesAndNamesBack) {
+  for (const char* model : {"bitflip", "pulse", "delay", "indet"}) {
+    for (const char* targets : {"ff", "memory", "lut", "seqline", "combline"}) {
+      for (const char* unit :
+           {"any", "registers", "ram", "alu", "mem", "fsm"}) {
+        const service::JobSpec job =
+            service::parseJobArgs({model, targets, unit});
+        const std::string name =
+            std::string(model) + "_" + targets + "_" + unit;
+        EXPECT_EQ(job.name, name);
+        EXPECT_EQ(service::defaultName(job), name);
+      }
+    }
+  }
+  const std::pair<const char*, const char*> bands[] = {
+      {"sub", "<1"}, {"short", "1-10"}, {"long", "11-20"}};
+  for (const auto& [band, label] : bands) {
+    EXPECT_EQ(service::parseJobArgs({"bitflip", "ff", "any", "7", band})
+                  .spec.band.label,
+              label);
+  }
+}
+
+TEST(ServiceJobArgs, DefaultsAndFlags) {
+  const service::JobSpec job = service::parseJobArgs({});
+  EXPECT_EQ(job.tool, "fades");
+  EXPECT_EQ(job.engine, "event");
+  EXPECT_EQ(job.spec.model, campaign::FaultModel::BitFlip);
+  EXPECT_EQ(job.spec.targets, campaign::TargetClass::SequentialFF);
+  EXPECT_EQ(job.spec.unit, 0);
+  EXPECT_EQ(job.spec.experiments, 200u);
+  EXPECT_EQ(job.spec.band.label, "1-10");
+  EXPECT_EQ(job.spec.seed, 2006u);
+  EXPECT_EQ(job.name, "bitflip_ff_any");
+  EXPECT_EQ(job.linkFaultRate, 0.0);
+
+  // Flags anywhere; the trailing positional only where the caller takes it.
+  std::string trailing;
+  const service::JobSpec vfit = service::parseJobArgs(
+      {"pulse", "--tool", "vfit", "lut", "--engine", "compiled", "alu", "9",
+       "long", "run.json"},
+      &trailing);
+  EXPECT_EQ(vfit.tool, "vfit");
+  EXPECT_EQ(vfit.engine, "compiled");
+  EXPECT_EQ(vfit.spec.experiments, 9u);
+  EXPECT_EQ(vfit.name, "pulse_lut_alu");
+  EXPECT_EQ(trailing, "run.json");
+  EXPECT_THROW(service::parseJobArgs({"pulse", "lut", "alu", "9", "long",
+                                      "run.json"}),
+               common::FadesError);
+  EXPECT_EQ(service::parseJobArgs({"--link-faults", "0.25"}).linkFaultRate,
+            0.25);
+}
+
+TEST(ServiceJobArgs, DefaultNameIsPinnedForEveryEnumValue) {
+  // campaign_bench names its artifacts with defaultName, and its pinned
+  // digests cover those names.
+  service::JobSpec job;
+  const std::pair<campaign::FaultModel, const char*> models[] = {
+      {campaign::FaultModel::BitFlip, "bitflip"},
+      {campaign::FaultModel::Pulse, "pulse"},
+      {campaign::FaultModel::Delay, "delay"},
+      {campaign::FaultModel::Indetermination, "indet"}};
+  for (const auto& [model, text] : models) {
+    job.spec.model = model;
+    EXPECT_EQ(service::defaultName(job), std::string(text) + "_ff_any");
+  }
+  job.spec.model = campaign::FaultModel::BitFlip;
+  const std::pair<campaign::TargetClass, const char*> targets[] = {
+      {campaign::TargetClass::SequentialFF, "ff"},
+      {campaign::TargetClass::MemoryBlockBit, "memory"},
+      {campaign::TargetClass::CombinationalLut, "lut"},
+      {campaign::TargetClass::CbInputLine, "cbinput"},
+      {campaign::TargetClass::SequentialLine, "seqline"},
+      {campaign::TargetClass::CombinationalLine, "combline"}};
+  for (const auto& [cls, text] : targets) {
+    job.spec.targets = cls;
+    EXPECT_EQ(service::defaultName(job), "bitflip_" + std::string(text) +
+                                             "_any");
+  }
+  job.spec.targets = campaign::TargetClass::SequentialFF;
+  const std::pair<netlist::Unit, const char*> units[] = {
+      {netlist::Unit::None, "any"},     {netlist::Unit::Registers, "registers"},
+      {netlist::Unit::Ram, "ram"},      {netlist::Unit::Alu, "alu"},
+      {netlist::Unit::MemCtrl, "mem"},  {netlist::Unit::Fsm, "fsm"}};
+  for (const auto& [unit, text] : units) {
+    job.spec.unit = static_cast<int>(unit);
+    EXPECT_EQ(service::defaultName(job), "bitflip_ff_" + std::string(text));
+  }
+}
+
+TEST(ServiceJobArgs, MalformedArgumentsAreInvalid) {
+  const Args rejected[] = {
+      {"flip"},
+      {"pulse", "lutt"},
+      {"bitflip", "ff", "anything"},
+      {"bitflip", "ff", "any", "200", "shrt"},
+      {"bitflip", "ff", "any", "12abc"},
+      {"bitflip", "ff", "any", "-1"},
+      {"bitflip", "ff", "any", "0"},
+      {"bitflip", "ff", "any", "4294967296"},
+      {"pulse", "cbinput"},  // named, never parsed: no MC8051 CB inputs
+      {""},
+      {"--link-faults", "abc"},
+      {"--link-faults", "1.5"},
+      {"--link-faults", "-0.1"},
+      {"--link-faults"},
+      {"--jobs", "2"},
+      {"bitflip", "ff", "any", "200", "short", "extra"},
+  };
+  for (const auto& args : rejected) {
+    std::string joined;
+    for (const auto& a : args) joined += "'" + a + "' ";
+    try {
+      service::validate(service::parseJobArgs(args));
+      ADD_FAILURE() << "accepted " << joined;
+    } catch (const common::FadesError& e) {
+      EXPECT_EQ(e.kind(), common::ErrorKind::InvalidArgument) << joined;
+    }
+  }
+  // Combination rules are validate()'s: the grammar parses, the job is
+  // refused.
+  const service::JobSpec compiledFades =
+      service::parseJobArgs({"--engine", "compiled"});
+  EXPECT_THROW(service::validate(compiledFades), common::FadesError);
+  service::JobSpec vfitLink =
+      service::parseJobArgs({"--tool", "vfit", "--link-faults", "0.1"});
+  EXPECT_THROW(service::validate(vfitLink), common::FadesError);
+  // The same number parser refuses an out-of-range port.
+  EXPECT_THROW(common::parseUnsigned<std::uint16_t>("70000", "--port", 1),
+               common::FadesError);
+}
+
+TEST(ServiceJobArgs, SubmittedJobsKeepTheirFingerprints) {
+  // Fingerprints of fades_submit argument vectors, recorded from the client
+  // before the grammar was shared: the store's journal names depend on them.
+  struct Pinned {
+    Args args;
+    const char* fingerprint;
+  };
+  const Pinned pinned[] = {
+      {{}, "450ab3ae10f1e626"},
+      {{"bitflip", "ff", "any", "200", "short"}, "450ab3ae10f1e626"},
+      {{"--tool", "vfit", "--engine", "compiled", "pulse", "lut", "alu", "300",
+        "long"},
+       "8f0407b9379fb10e"},
+      {{"--link-faults", "0.02", "bitflip", "memory", "ram", "50"},
+       "1d6c4116f97ec904"},
+      {{"--tool", "autonomous", "indet", "seqline", "fsm", "7", "sub"},
+       "c9adb2850307fc87"},
+      {{"delay", "combline", "mem", "10"}, "449558f9163cdb88"},
+      {{"--tool", "vfit", "--engine", "event", "bitflip", "ff", "registers",
+        "63"},
+       "d9e9a00d207251a0"},
+  };
+  for (const auto& p : pinned) {
+    const service::JobSpec job = service::parseJobArgs(p.args);
+    service::validate(job);
+    EXPECT_EQ(service::fingerprint(job), p.fingerprint) << job.name;
+  }
+  // fades_submit --workload demo --no-records --name x indet seqline fsm 7
+  // sub: the client's own flags set these three fields.
+  service::JobSpec demo =
+      service::parseJobArgs({"indet", "seqline", "fsm", "7", "sub"});
+  demo.workload = "demo";
+  demo.keepRecords = false;
+  demo.name = "x";
+  EXPECT_EQ(service::fingerprint(demo), "8dc8ff5ea4cb3887");
 }
 
 // ---------------------------------------------------------------------------

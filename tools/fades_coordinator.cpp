@@ -24,9 +24,7 @@
 //     --fsync      fsync journals after every record
 //     --progress-interval N  campaign progress heartbeat every N
 //                  experiments (default 25)
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -36,6 +34,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "obs/artifact.hpp"
 #include "service/coordinator.hpp"
 
@@ -60,25 +59,6 @@ void onSignal(int) { gStop = 1; }
   std::exit(2);
 }
 
-/// Strict integer parse: digits only, within [min, max]. strtoul alone
-/// would accept "-1" as 4294967295 and let the caller's cast truncate or
-/// wrap an out-of-range value.
-unsigned long parseUnsigned(const char* text, const char* what,
-                            unsigned long min, unsigned long max) {
-  const std::string s = text;
-  const bool digits =
-      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
-  errno = 0;
-  const unsigned long value = digits ? std::strtoul(text, nullptr, 10) : 0;
-  if (!digits || errno != 0 || value < min || value > max) {
-    usageError((std::string(what) + " expects an integer in [" +
-                std::to_string(min) + ", " + std::to_string(max) +
-                "], got '" + s + "'")
-                   .c_str());
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,40 +67,39 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool once = false;
   std::string portFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usageError((a + " needs a value").c_str());
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(
-          parseUnsigned(value(), "--port", 0, UINT16_MAX));
-    } else if (a == "--port-file") {
-      portFile = value();
-    } else if (a == "--store") {
-      opt.storeDir = value();
-    } else if (a == "--block-size") {
-      opt.blockSize = static_cast<unsigned>(
-          parseUnsigned(value(), "--block-size", 1, UINT_MAX));
-    } else if (a == "--lease-ms") {
-      opt.leaseMs =
-          static_cast<int>(parseUnsigned(value(), "--lease-ms", 1, INT_MAX));
-    } else if (a == "--audit-every") {
-      opt.auditEvery = static_cast<unsigned>(
-          parseUnsigned(value(), "--audit-every", 0, UINT_MAX));
-    } else if (a == "--progress-interval") {
-      opt.progressInterval =
-          parseUnsigned(value(), "--progress-interval", 0, UINT_MAX);
-    } else if (a == "--resume") {
-      resume = true;
-    } else if (a == "--once") {
-      once = true;
-    } else if (a == "--fsync") {
-      opt.fsync = campaign::FsyncPolicy::EachRecord;
-    } else {
-      usageError(("unknown flag '" + a + "'").c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto value = [&]() -> const char* {
+        if (i + 1 >= argc) usageError((a + " needs a value").c_str());
+        return argv[++i];
+      };
+      if (a == "--port") {
+        opt.port = common::parseUnsigned<std::uint16_t>(value(), a);
+      } else if (a == "--port-file") {
+        portFile = value();
+      } else if (a == "--store") {
+        opt.storeDir = value();
+      } else if (a == "--block-size") {
+        opt.blockSize = common::parseUnsigned<unsigned>(value(), a, 1);
+      } else if (a == "--lease-ms") {
+        opt.leaseMs = common::parseUnsigned<int>(value(), a, 1);
+      } else if (a == "--audit-every") {
+        opt.auditEvery = common::parseUnsigned<unsigned>(value(), a);
+      } else if (a == "--progress-interval") {
+        opt.progressInterval = common::parseUnsigned<unsigned>(value(), a);
+      } else if (a == "--resume") {
+        resume = true;
+      } else if (a == "--once") {
+        once = true;
+      } else if (a == "--fsync") {
+        opt.fsync = campaign::FsyncPolicy::EachRecord;
+      } else {
+        usageError(("unknown flag '" + a + "'").c_str());
+      }
     }
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
   }
   opt.shutdownWhenDone = once;
 

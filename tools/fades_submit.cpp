@@ -12,9 +12,13 @@
 //                                             the content-addressed store
 //                                             (no coordinator needed)
 //
-// Job args mirror campaign_8051: [--tool fades|vfit|autonomous]
-// [--engine event|compiled] [--workload bubblesort6|demo] [--link-faults R]
-// [--no-records] [--name NAME] [model] [targets] [unit] [faults] [band]
+// Job args are campaign_8051's: the same service::parseJobArgs grammar
+// ([--tool fades|vfit|autonomous] [--engine event|compiled]
+// [--link-faults R] [model] [targets] [unit] [faults] [band]) and the same
+// service::validate rules, plus this client's own [--workload
+// bubblesort6|demo] [--no-records] [--name NAME]. Everything is parsed
+// before the coordinator is dialed: malformed arguments exit 2, a failed
+// request exits 1.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +29,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "netlist/netlist.hpp"
+#include "common/parse.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "service/jobspec.hpp"
@@ -86,69 +90,33 @@ std::uint64_t numberField(const Json& j, const char* key) {
   return value;
 }
 
-/// Parse campaign_8051-style job arguments into a JobSpec.
+/// The shared job grammar plus this client's own job flags, validated.
 service::JobSpec parseJob(const std::vector<std::string>& args) {
-  service::JobSpec job;
-  job.spec.seed = 2006;
-  job.spec.experiments = 200;
-  std::vector<std::string> positional;
+  std::string workload = "bubblesort6";
+  std::string name;
+  bool keepRecords = true;
+  std::vector<std::string> jobArgs;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     auto value = [&]() -> const std::string& {
       if (i + 1 >= args.size()) usageError(a + " needs a value");
       return args[++i];
     };
-    if (a == "--tool") {
-      job.tool = value();
-    } else if (a == "--engine") {
-      job.engine = value();
-    } else if (a == "--workload") {
-      job.workload = value();
-    } else if (a == "--link-faults") {
-      job.linkFaultRate = std::strtod(value().c_str(), nullptr);
+    if (a == "--workload") {
+      workload = value();
     } else if (a == "--no-records") {
-      job.keepRecords = false;
+      keepRecords = false;
     } else if (a == "--name") {
-      job.name = value();
-    } else if (!a.empty() && a[0] == '-') {
-      usageError("unknown job flag '" + a + "'");
+      name = value();
     } else {
-      positional.push_back(a);
+      jobArgs.push_back(a);
     }
   }
-  if (positional.size() > 5) usageError("too many job arguments");
-  auto arg = [&](std::size_t i, const char* def) {
-    return i < positional.size() ? positional[i] : std::string(def);
-  };
-  const std::string model = arg(0, "bitflip");
-  const std::string targets = arg(1, "ff");
-  const std::string unit = arg(2, "any");
-  const std::string faults = arg(3, "200");
-  const std::string band = arg(4, "short");
-  job.spec.model = model == "pulse"   ? campaign::FaultModel::Pulse
-                   : model == "delay" ? campaign::FaultModel::Delay
-                   : model == "indet" ? campaign::FaultModel::Indetermination
-                                      : campaign::FaultModel::BitFlip;
-  job.spec.targets =
-      targets == "memory"     ? campaign::TargetClass::MemoryBlockBit
-      : targets == "lut"      ? campaign::TargetClass::CombinationalLut
-      : targets == "seqline"  ? campaign::TargetClass::SequentialLine
-      : targets == "combline" ? campaign::TargetClass::CombinationalLine
-                              : campaign::TargetClass::SequentialFF;
-  job.spec.unit =
-      static_cast<int>(unit == "registers" ? netlist::Unit::Registers
-                       : unit == "ram"     ? netlist::Unit::Ram
-                       : unit == "alu"     ? netlist::Unit::Alu
-                       : unit == "mem"     ? netlist::Unit::MemCtrl
-                       : unit == "fsm"     ? netlist::Unit::Fsm
-                                           : netlist::Unit::None);
-  job.spec.band = band == "sub"    ? campaign::DurationBand::subCycle()
-                  : band == "long" ? campaign::DurationBand::longBand()
-                                   : campaign::DurationBand::shortBand();
-  job.spec.experiments =
-      static_cast<unsigned>(std::strtoul(faults.c_str(), nullptr, 10));
-  if (job.spec.experiments == 0) usageError("faults must be positive");
-  if (job.name.empty()) job.name = model + "_" + targets + "_" + unit;
+  service::JobSpec job = service::parseJobArgs(jobArgs);
+  job.workload = workload;
+  job.keepRecords = keepRecords;
+  if (!name.empty()) job.name = name;
+  service::validate(job);
   return job;
 }
 
@@ -224,25 +192,31 @@ int main(int argc, char** argv) {
   std::string outPath;
   std::string command;
   std::vector<std::string> rest;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usageError(a + " needs a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::strtoul(value(), nullptr, 10));
-    } else if (a == "--host") {
-      host = value();
-    } else if (a == "--store") {
-      storeDir = value();
-    } else if (a == "--out") {
-      outPath = value();
-    } else if (command.empty() && !a.empty() && a[0] != '-') {
-      command = a;
-    } else {
-      rest.push_back(a);
+  service::JobSpec job;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto value = [&]() -> const char* {
+        if (i + 1 >= argc) usageError(a + " needs a value");
+        return argv[++i];
+      };
+      if (a == "--port") {
+        port = common::parseUnsigned<std::uint16_t>(value(), "--port", 1);
+      } else if (a == "--host") {
+        host = value();
+      } else if (a == "--store") {
+        storeDir = value();
+      } else if (a == "--out") {
+        outPath = value();
+      } else if (command.empty() && !a.empty() && a[0] != '-') {
+        command = a;
+      } else {
+        rest.push_back(a);
+      }
     }
+    if (command == "submit") job = parseJob(rest);
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
   }
   if (command.empty()) usageError("missing command");
 
@@ -254,8 +228,6 @@ int main(int argc, char** argv) {
     if (port == 0) usageError("--port is required (or --store for fetch)");
 
     if (command == "submit") {
-      const service::JobSpec job = parseJob(rest);
-      service::validate(job);
       const service::Socket sock = dial(host, port);
       Json msg = Json::object();
       msg.set("type", Json(std::string("submit")));

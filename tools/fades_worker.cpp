@@ -16,8 +16,6 @@
 //     --tamper   lie about every outcome (byzantine-worker test mode: the
 //                experiments run honestly, the streamed results are
 //                falsified)
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +23,7 @@
 
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "service/worker.hpp"
 
 using namespace fades;
@@ -41,56 +40,38 @@ namespace {
   std::exit(2);
 }
 
-/// Strict integer parse: digits only, within [min, max]. strtoul alone
-/// would accept "-1" as 4294967295 and let the caller's cast truncate or
-/// wrap an out-of-range value.
-unsigned long parseUnsigned(const char* text, const char* what,
-                            unsigned long min, unsigned long max) {
-  const std::string s = text;
-  const bool digits =
-      !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
-  errno = 0;
-  const unsigned long value = digits ? std::strtoul(text, nullptr, 10) : 0;
-  if (!digits || errno != 0 || value < min || value > max) {
-    usageError(std::string(what) + " expects an integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) +
-               "], got '" + s + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   service::WorkerOptions opt;
   bool tamper = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usageError(a + " needs a value");
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(
-          parseUnsigned(value(), "--port", 1, UINT16_MAX));
-    } else if (a == "--host") {
-      opt.host = value();
-    } else if (a == "--name") {
-      opt.name = value();
-    } else if (a == "--attempts") {
-      opt.experimentAttempts = static_cast<unsigned>(
-          parseUnsigned(value(), "--attempts", 1, UINT_MAX));
-    } else if (a == "--heartbeat-ms") {
-      opt.heartbeatMs = static_cast<int>(
-          parseUnsigned(value(), "--heartbeat-ms", 1, INT_MAX));
-    } else if (a == "--max-reconnects") {
-      opt.maxReconnects = static_cast<unsigned>(
-          parseUnsigned(value(), "--max-reconnects", 0, UINT_MAX));
-    } else if (a == "--tamper") {
-      tamper = true;
-    } else {
-      usageError("unknown flag '" + a + "'");
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto value = [&]() -> const char* {
+        if (i + 1 >= argc) usageError(a + " needs a value");
+        return argv[++i];
+      };
+      if (a == "--port") {
+        opt.port = common::parseUnsigned<std::uint16_t>(value(), a, 1);
+      } else if (a == "--host") {
+        opt.host = value();
+      } else if (a == "--name") {
+        opt.name = value();
+      } else if (a == "--attempts") {
+        opt.experimentAttempts = common::parseUnsigned<unsigned>(value(), a, 1);
+      } else if (a == "--heartbeat-ms") {
+        opt.heartbeatMs = common::parseUnsigned<int>(value(), a, 1);
+      } else if (a == "--max-reconnects") {
+        opt.maxReconnects = common::parseUnsigned<unsigned>(value(), a);
+      } else if (a == "--tamper") {
+        tamper = true;
+      } else {
+        usageError("unknown flag '" + a + "'");
+      }
     }
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
   }
   if (opt.port == 0) usageError("--port is required");
   if (tamper) {

@@ -25,8 +25,6 @@
 //                     (halves fuzz cost; corpus replay keeps them on)
 //
 // Exit code: 0 = all cases agree, 1 = at least one violation, 2 = usage.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -35,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/parse.hpp"
 #include "diffcheck/corpus.hpp"
 #include "diffcheck/gen.hpp"
 #include "diffcheck/oracle.hpp"
@@ -58,21 +58,6 @@ constexpr const char* kUsage =
 [[noreturn]] void usageError(const std::string& message) {
   std::fprintf(stderr, "error: %s\n%s", message.c_str(), kUsage);
   std::exit(2);
-}
-
-unsigned parsePositive(const std::string& text, const char* what) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0 || value > UINT_MAX) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  return static_cast<unsigned>(value);
 }
 
 /// Run `work(i)` for i in [0, n) on up to `jobs` concurrent workers,
@@ -189,30 +174,36 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usageError(std::string(flag) + " needs a value");
     return std::string(argv[++i]);
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--budget") {
-      budget = parsePositive(flagValue(i, "--budget"), "--budget");
-    } else if (a == "--seed") {
-      seed = parsePositive(flagValue(i, "--seed"), "--seed");
-    } else if (a == "--jobs") {
-      jobs = parsePositive(flagValue(i, "--jobs"), "--jobs");
-    } else if (a == "--shrink-budget") {
-      shrinkBudget =
-          parsePositive(flagValue(i, "--shrink-budget"), "--shrink-budget");
-    } else if (a == "--replay") {
-      replayDir = flagValue(i, "--replay");
-    } else if (a == "--emit-corpus") {
-      emitDir = flagValue(i, "--emit-corpus");
-    } else if (a == "--out") {
-      outDir = flagValue(i, "--out");
-    } else if (a == "--artifact") {
-      artifactPath = flagValue(i, "--artifact");
-    } else if (a == "--quick") {
-      quick = true;
-    } else {
-      usageError("unknown argument '" + a + "'");
+  auto positive = [&](int& i, const char* flag) {
+    return common::parseUnsigned<unsigned>(flagValue(i, flag), flag, 1);
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--budget") {
+        budget = positive(i, "--budget");
+      } else if (a == "--seed") {
+        seed = positive(i, "--seed");
+      } else if (a == "--jobs") {
+        jobs = positive(i, "--jobs");
+      } else if (a == "--shrink-budget") {
+        shrinkBudget = positive(i, "--shrink-budget");
+      } else if (a == "--replay") {
+        replayDir = flagValue(i, "--replay");
+      } else if (a == "--emit-corpus") {
+        emitDir = flagValue(i, "--emit-corpus");
+      } else if (a == "--out") {
+        outDir = flagValue(i, "--out");
+      } else if (a == "--artifact") {
+        artifactPath = flagValue(i, "--artifact");
+      } else if (a == "--quick") {
+        quick = true;
+      } else {
+        usageError("unknown argument '" + a + "'");
+      }
     }
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
   }
   if (!replayDir.empty() && !emitDir.empty()) {
     usageError("--replay and --emit-corpus are mutually exclusive");
