@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
 
   fpga::Device devL(sys.implementation().spec);
   fpga::Device devG(sys.implementation().spec);
-  core::FadesTool lsr(devL, sys.implementation(), sys.workload().cycles,
+  core::FadesTool lsr(devL, sys.implementation(), sys.runCycles(),
                       lsrOpt);
-  core::FadesTool gsr(devG, sys.implementation(), sys.workload().cycles,
+  core::FadesTool gsr(devG, sys.implementation(), sys.runCycles(),
                       gsrOpt);
 
   common::Rng rng(6);

@@ -24,21 +24,14 @@ int main(int argc, char** argv) {
   const unsigned n = std::min(timingCount(50), 50u);
 
   // --- delay mechanism comparison ----------------------------------------
-  fpga::Device probe(sys.implementation().spec);
-  probe.writeFullBitstream(sys.implementation().bitstream);
-  probe.setTimingEnabled(true);
-  probe.settle();
-  fpga::DeviceSpec spec = sys.implementation().spec;
-  spec.clockPeriodNs =
-      probe.timingReport().maxArrivalNs + spec.ffSetupNs + 0.35;
+  const fpga::DeviceSpec spec = core::delayCalibratedSpec(sys.implementation());
 
   auto delayCampaign = [&](core::DelayVia via) {
     core::FadesOptions opt = sys.fadesOptions();
     opt.delayVia = via;
     opt.fullDownloadForDelay = false;
     fpga::Device dev(spec);
-    core::FadesTool tool(dev, sys.implementation(), sys.workload().cycles,
-                         opt);
+    core::FadesTool tool(dev, sys.implementation(), sys.runCycles(), opt);
     CampaignSpec cs;
     cs.model = FaultModel::Delay;
     cs.targets = TargetClass::CombinationalLine;
@@ -75,8 +68,7 @@ int main(int argc, char** argv) {
     core::FadesOptions opt = sys.fadesOptions();
     opt.oscillatingIndetermination = oscillating;
     fpga::Device dev(sys.implementation().spec);
-    core::FadesTool tool(dev, sys.implementation(), sys.workload().cycles,
-                         opt);
+    core::FadesTool tool(dev, sys.implementation(), sys.runCycles(), opt);
     CampaignSpec cs;
     cs.model = FaultModel::Indetermination;
     cs.targets = TargetClass::SequentialFF;

@@ -35,13 +35,7 @@ int main(int argc, char** argv) {
   const unsigned n = std::min(timingCount(40), 40u);
 
   // Calibrated clock so delays are meaningful, as in fig12/15.
-  fpga::Device probe(sys.implementation().spec);
-  probe.writeFullBitstream(sys.implementation().bitstream);
-  probe.setTimingEnabled(true);
-  probe.settle();
-  fpga::DeviceSpec spec = sys.implementation().spec;
-  spec.clockPeriodNs =
-      probe.timingReport().maxArrivalNs + spec.ffSetupNs + 0.35;
+  const fpga::DeviceSpec spec = core::delayCalibratedSpec(sys.implementation());
 
   core::FadesOptions fullOpt = sys.fadesOptions();
   fullOpt.fullDownloadForDelay = true;
@@ -49,9 +43,9 @@ int main(int argc, char** argv) {
   partialOpt.fullDownloadForDelay = false;
 
   fpga::Device devF(spec), devP(spec);
-  core::FadesTool full(devF, sys.implementation(), sys.workload().cycles,
+  core::FadesTool full(devF, sys.implementation(), sys.runCycles(),
                        fullOpt);
-  core::FadesTool partial(devP, sys.implementation(), sys.workload().cycles,
+  core::FadesTool partial(devP, sys.implementation(), sys.runCycles(),
                           partialOpt);
 
   const auto rFull = run(full, n);

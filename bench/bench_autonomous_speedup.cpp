@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   System8051 sys;
   sys.printHeadline();
   auto& rtr = sys.fades();
-  core::AutonomousTool aut(sys.netlist(), sys.workload().cycles);
+  core::AutonomousTool aut(sys.netlist(), sys.runCycles());
   const unsigned n = timingCount(60);
 
   // Area overhead: what the autonomous injector costs before the first

@@ -149,106 +149,52 @@ unsigned jobs() {
   return 1;
 }
 
-namespace {
-
-// Everything a replica's behavior depends on, so a recycled tool address
-// (some benches build short-lived tools on the stack) never reuses a runner
-// configured for a different tool.
-std::string toolFingerprint(core::FadesTool& tool) {
-  const auto& o = tool.options();
-  const auto& spec = tool.device().spec();
-  std::string fp = spec.name + "/" + std::to_string(spec.clockPeriodNs) +
-                   "/" + std::to_string(tool.runCycles()) + "/" +
-                   std::to_string(static_cast<int>(o.bitFlipVia)) +
-                   std::to_string(static_cast<int>(o.delayVia)) +
-                   std::to_string(o.fullDownloadForDelay) +
-                   std::to_string(o.oscillatingIndetermination) +
-                   std::to_string(o.keepRecords) +
-                   std::to_string(o.sessionFrameCache) + "/" +
-                   std::to_string(o.fpgaClockHz) + "/" +
-                   std::to_string(o.hostPerExperimentSeconds) + "/" +
-                   std::to_string(o.checkpointInterval) + "/" +
-                   std::to_string(o.linkFaults.readCrcRate) + "," +
-                   std::to_string(o.linkFaults.writeFailRate) + "," +
-                   std::to_string(o.linkFaults.timeoutRate) + "/" +
-                   std::to_string(o.linkRetry.maxRetries) + "," +
-                   std::to_string(o.linkRetry.backoffBaseSeconds) + "," +
-                   std::to_string(o.linkRetry.backoffFactor) + "," +
-                   std::to_string(o.linkRetry.backoffCapSeconds);
-  for (const auto& out : o.observedOutputs) fp += "," + out;
-  return fp;
-}
-
-struct CachedRunner {
-  const synth::Implementation* impl = nullptr;
-  std::string fingerprint;
-  std::unique_ptr<campaign::ParallelCampaignRunner> runner;
-};
-
-// One runner per tool: replicas are expensive (each pays the bitstream
-// download and golden run), so band sweeps and repeat campaigns over the
-// same tool reuse them.
-std::map<const core::FadesTool*, CachedRunner> gRunners;
-
-}  // namespace
-
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec) {
   campaign::ParallelOptions popt;
   popt.jobs = jobs();
   popt.progressInterval = 100;
   if (popt.jobs == 1) return campaign::runCampaign(tool, spec, popt);
-  auto& cached = gRunners[&tool];
-  const std::string fp = toolFingerprint(tool);
-  if (!cached.runner || cached.impl != &tool.implementation() ||
-      cached.fingerprint != fp) {
-    cached.impl = &tool.implementation();
-    cached.fingerprint = fp;
-    cached.runner = std::make_unique<campaign::ParallelCampaignRunner>(
-        core::fadesEngineFactory(tool.implementation(), tool.runCycles(),
-                                 tool.options(), tool.device().spec()),
-        popt);
-  }
-  return cached.runner->run(spec);
+  campaign::ParallelCampaignRunner runner(
+      core::fadesEngineFactory(tool.implementation(), tool.runCycles(),
+                               tool.options(), tool.device().spec()),
+      popt);
+  return runner.run(spec);
 }
 
-System8051::System8051()
-    : workload_(mc8051::bubblesort(6)),
-      nl_(mc8051::buildCore(workload_.bytes)),
-      impl_(synth::implement(nl_, fpga::DeviceSpec::virtex1000Like())) {}
+namespace {
+
+service::JobSpec systemJob() {
+  service::JobSpec job;  // tool fades, workload bubblesort6
+  job.keepRecords = false;
+  return job;
+}
+
+}  // namespace
+
+System8051::System8051() : sys_(service::buildSystem(systemJob())) {}
 
 core::FadesOptions System8051::fadesOptions() const {
   core::FadesOptions opt;
-  opt.observedOutputs = {"p0", "p1"};
+  opt.observedOutputs = sys_->observedOutputs;
   return opt;
 }
 
 core::FadesTool& System8051::fades() {
   if (!fades_) {
-    device_ = std::make_unique<fpga::Device>(impl_.spec);
-    fades_ = std::make_unique<core::FadesTool>(*device_, impl_,
-                                               workload_.cycles,
-                                               fadesOptions());
+    device_ = std::make_unique<fpga::Device>(implementation().spec);
+    fades_ = std::make_unique<core::FadesTool>(*device_, implementation(),
+                                               runCycles(), fadesOptions());
   }
   return *fades_;
 }
 
 core::FadesTool& System8051::fadesForDelay() {
   if (!fadesDelay_) {
-    // Measure the fault-free critical path, then rebuild the device with a
-    // clock period sitting just above it so that injected delays can push
-    // individual paths past setup.
-    fpga::Device probe(impl_.spec);
-    probe.writeFullBitstream(impl_.bitstream);
-    probe.setTimingEnabled(true);
-    probe.settle();
-    const double maxArrival = probe.timingReport().maxArrivalNs;
-
-    fpga::DeviceSpec spec = impl_.spec;
-    spec.clockPeriodNs = maxArrival + spec.ffSetupNs + 0.35;
-    delayDevice_ = std::make_unique<fpga::Device>(spec);
+    delayDevice_ = std::make_unique<fpga::Device>(
+        core::delayCalibratedSpec(implementation()));
     fadesDelay_ = std::make_unique<core::FadesTool>(
-        *delayDevice_, impl_, workload_.cycles, fadesOptions());
+        *delayDevice_, implementation(), runCycles(), fadesOptions());
   }
   return *fadesDelay_;
 }
@@ -256,21 +202,21 @@ core::FadesTool& System8051::fadesForDelay() {
 vfit::VfitTool& System8051::vfit() {
   if (!vfit_) {
     vfit::VfitOptions opt;
-    opt.observedOutputs = {"p0", "p1"};
-    vfit_ = std::make_unique<vfit::VfitTool>(nl_, workload_.cycles, opt);
+    opt.observedOutputs = sys_->observedOutputs;
+    vfit_ = std::make_unique<vfit::VfitTool>(netlist(), runCycles(), opt);
   }
   return *vfit_;
 }
 
 void System8051::printHeadline() const {
-  const auto& s = impl_.stats;
+  const auto& s = implementation().stats;
   std::printf(
       "System under test: MC8051 subset + %s (%llu cycles; paper: 1303)\n"
       "Implementation on %s: %u LUTs, %u FFs, %u memory blocks "
       "(paper: 5310 LUTs, 637 FFs of 24576)\n\n",
-      workload_.name.c_str(),
-      static_cast<unsigned long long>(workload_.cycles),
-      impl_.spec.name.c_str(), s.luts, s.flops, s.memBlocks);
+      sys_->job.workload.c_str(),
+      static_cast<unsigned long long>(runCycles()),
+      implementation().spec.name.c_str(), s.luts, s.flops, s.memBlocks);
 }
 
 std::string withPaper(double measured, const std::string& paper,

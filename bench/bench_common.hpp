@@ -15,10 +15,9 @@
 #include "campaign/types.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
-#include "mc8051/core.hpp"
-#include "mc8051/workloads.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/json.hpp"
+#include "service/jobspec.hpp"
 #include "synth/implement.hpp"
 #include "vfit/vfit.hpp"
 
@@ -80,27 +79,30 @@ unsigned jobs();
 
 /// Run `spec` with `tool`'s configuration, sharded across jobs() workers.
 /// With jobs() == 1 the runner's loop drives `tool` itself
-/// (campaign::runCampaign); otherwise a cached ParallelCampaignRunner (one
-/// per tool, replicating its device spec and options) runs it with
-/// bit-identical results - sharding changes the bench's wall-clock, never
-/// its numbers. Either way a progress heartbeat fires every 100
+/// (campaign::runCampaign); otherwise a ParallelCampaignRunner built for
+/// this campaign (replicating the tool's device spec and options) runs it
+/// with bit-identical results - sharding changes the bench's wall-clock,
+/// never its numbers. Either way a progress heartbeat fires every 100
 /// experiments.
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec);
 
-/// The paper's system under test, built once per bench binary.
+/// The paper's system under test, built once per bench binary by
+/// service::buildSystem (tool fades, workload bubblesort6) - the same
+/// system campaign_8051 and the service workers build.
 class System8051 {
  public:
   System8051();
 
-  const mc8051::Workload& workload() const { return workload_; }
-  const netlist::Netlist& netlist() const { return nl_; }
-  const synth::Implementation& implementation() const { return impl_; }
+  std::uint64_t runCycles() const { return sys_->runCycles; }
+  const netlist::Netlist& netlist() const { return sys_->netlist; }
+  const synth::Implementation& implementation() const { return *sys_->impl; }
 
   /// FADES over the implementation (functional campaigns).
   core::FadesTool& fades();
   /// FADES on a device whose clock period is calibrated just above the
-  /// fault-free critical path, so delay faults can violate timing.
+  /// fault-free critical path (core::delayCalibratedSpec), so delay faults
+  /// can violate timing.
   core::FadesTool& fadesForDelay();
   /// The VFIT baseline on the same HDL model.
   vfit::VfitTool& vfit();
@@ -110,9 +112,7 @@ class System8051 {
   void printHeadline() const;
 
  private:
-  mc8051::Workload workload_;
-  netlist::Netlist nl_;
-  synth::Implementation impl_;
+  std::shared_ptr<const service::CampaignSystem> sys_;
   std::unique_ptr<fpga::Device> device_;
   std::unique_ptr<core::FadesTool> fades_;
   std::unique_ptr<fpga::Device> delayDevice_;

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   System8051 sys;
   sys.printHeadline();
   auto& fades = sys.fades();
-  core::PermanentFaults permanent(fades);
   const unsigned n = classifyCount(150);
 
   std::vector<std::vector<std::string>> rows;
@@ -27,12 +26,12 @@ int main(int argc, char** argv) {
         core::PermanentFaultModel::OpenLine,
         core::PermanentFaultModel::StuckOpen,
         core::PermanentFaultModel::Bridging}) {
-    core::PermanentCampaignSpec spec;
-    spec.model = model;
+    core::PermanentFaults permanent(fades, model);
+    campaign::CampaignSpec spec;
     spec.experiments = n;
     spec.seed = 8;
-    const auto pool = permanent.targets(model, netlist::Unit::None);
-    const auto r = permanent.runCampaign(spec);
+    const auto pool = permanent.targets(netlist::Unit::None);
+    const auto r = campaign::runCampaign(permanent, spec);
     rows.push_back({core::toString(model), std::to_string(pool.size()),
                     pct3(r), common::fixed(r.modeledSeconds.mean(), 3)});
   }

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     osc.oscillatingIndetermination = true;
     fpga::Device dev(sys.implementation().spec);
     core::FadesTool oscTool(dev, sys.implementation(),
-                            sys.workload().cycles, osc);
+                            sys.runCycles(), osc);
     addRow("indetermination, sequential, oscillating, 11-20 cycles",
            run(oscTool, FaultModel::Indetermination,
                TargetClass::SequentialFF, DurationBand::longBand(), n),

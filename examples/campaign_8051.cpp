@@ -76,9 +76,9 @@
 #include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/prune_plan.hpp"
-#include "campaign/report.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/parse.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
       plan = service::buildPrunePlan(*system);
       std::printf("%s\n", campaign::accountingLine(plan).c_str());
       if (!prunePlanPath.empty()) {
-        campaign::writeTextFile(prunePlanPath,
-                                campaign::toJson(plan).dump(2) + "\n");
+        common::writeFile(prunePlanPath,
+                          campaign::toJson(plan).dump(2) + "\n");
         std::printf("Wrote prune plan: %s (%zu classes)\n",
                     prunePlanPath.c_str(), plan.classes.size());
       }

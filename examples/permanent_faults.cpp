@@ -21,7 +21,6 @@ int main() {
                                      fpga::DeviceSpec::virtex1000Like());
   fpga::Device device(impl.spec);
   core::FadesTool fades(device, impl, workload.cycles);
-  core::PermanentFaults permanent(fades);
 
   std::printf("Permanent faults on the MC8051 (%llu-cycle Bubblesort):\n\n",
               static_cast<unsigned long long>(workload.cycles));
@@ -34,12 +33,12 @@ int main() {
         core::PermanentFaultModel::OpenLine,
         core::PermanentFaultModel::StuckOpen,
         core::PermanentFaultModel::Bridging}) {
-    core::PermanentCampaignSpec spec;
-    spec.model = model;
+    core::PermanentFaults permanent(fades, model);
+    campaign::CampaignSpec spec;
     spec.experiments = 60;
     spec.seed = 17;
-    const auto pool = permanent.targets(model, netlist::Unit::None);
-    const auto result = permanent.runCampaign(spec);
+    const auto pool = permanent.targets(netlist::Unit::None);
+    const auto result = campaign::runCampaign(permanent, spec);
     std::printf("%-12s %8zu %8.1f%% %7.1f%% %7.1f%%\n",
                 core::toString(model), pool.size(), result.failurePct(),
                 result.latentPct(), result.silentPct());

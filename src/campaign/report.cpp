@@ -1,8 +1,5 @@
 #include "campaign/report.hpp"
 
-#include <cstdio>
-#include <memory>
-
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "obs/csv.hpp"
@@ -89,31 +86,6 @@ std::string renderMarkdownTable(
   out += "\n";
   for (const auto& row : rows) out += renderRow(row);
   return out;
-}
-
-void writeTextFile(const std::string& path, const std::string& text) {
-  // Crash-safe tmp + rename, like obs::writeFile: a killed run never leaves
-  // a truncated report in place of a complete one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-        std::fopen(tmp.c_str(), "wb"), &std::fclose);
-    require(f != nullptr, ErrorKind::InvalidArgument,
-            "cannot open '" + tmp + "' for writing");
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f.get()) == text.size() &&
-        std::fflush(f.get()) == 0;
-    if (!ok) {
-      f.reset();
-      std::remove(tmp.c_str());
-      common::raise(ErrorKind::InvalidArgument, "short write to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    common::raise(ErrorKind::InvalidArgument,
-                  "cannot rename '" + tmp + "' to '" + path + "'");
-  }
 }
 
 }  // namespace fades::campaign

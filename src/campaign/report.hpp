@@ -39,7 +39,4 @@ std::string renderMarkdownTable(
     const std::vector<std::string>& header,
     const std::vector<std::vector<std::string>>& rows);
 
-/// Write text to a file; throws on I/O failure.
-void writeTextFile(const std::string& path, const std::string& text);
-
 }  // namespace fades::campaign

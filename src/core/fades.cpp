@@ -942,6 +942,17 @@ campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
   return out;
 }
 
+fpga::DeviceSpec delayCalibratedSpec(const synth::Implementation& impl) {
+  fpga::Device probe(impl.spec);
+  probe.writeFullBitstream(impl.bitstream);
+  probe.setTimingEnabled(true);
+  probe.settle();
+  fpga::DeviceSpec spec = impl.spec;
+  spec.clockPeriodNs =
+      probe.timingReport().maxArrivalNs + spec.ffSetupNs + 0.35;
+  return spec;
+}
+
 campaign::EngineFactory fadesEngineFactory(
     const synth::Implementation& impl, std::uint64_t runCycles,
     FadesOptions options, std::optional<fpga::DeviceSpec> deviceSpec) {

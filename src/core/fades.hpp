@@ -299,6 +299,11 @@ class FadesTool final : public campaign::CampaignEngine {
   obs::Histogram& modeledSecondsHist_;
 };
 
+/// `impl`'s device spec with the clock period calibrated just above the
+/// fault-free critical path (max arrival + FF setup + 0.35 ns), so that
+/// injected delays can push individual paths past setup.
+fpga::DeviceSpec delayCalibratedSpec(const synth::Implementation& impl);
+
 /// Engine factory for campaign::ParallelCampaignRunner: every call builds a
 /// fresh FadesTool replica on its own device. `impl` is captured by
 /// reference and must outlive the runner. `deviceSpec` overrides the implementation's

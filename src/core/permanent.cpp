@@ -23,11 +23,10 @@ const char* toString(PermanentFaultModel m) {
   return "?";
 }
 
-std::vector<std::uint32_t> PermanentFaults::targets(PermanentFaultModel model,
-                                                    Unit unit) const {
+std::vector<std::uint32_t> PermanentFaults::targets(Unit unit) const {
   const auto& impl = tool_.implementation();
   std::vector<std::uint32_t> out;
-  switch (model) {
+  switch (model_) {
     case PermanentFaultModel::StuckAt0:
     case PermanentFaultModel::StuckAt1:
       for (auto i : impl.lutsInUnit(unit)) {
@@ -47,12 +46,11 @@ std::vector<std::uint32_t> PermanentFaults::targets(PermanentFaultModel model,
       break;
   }
   require(!out.empty(), ErrorKind::InjectionError,
-          std::string("no permanent-fault targets for ") + toString(model));
+          std::string("no permanent-fault targets for ") + toString(model_));
   return out;
 }
 
-Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
-                                       std::uint32_t target, Rng& rng,
+Outcome PermanentFaults::runExperiment(std::uint32_t target, Rng& rng,
                                        double* modeledSeconds) {
   auto& dev = tool_.dev_;
   auto& port = tool_.port_;
@@ -70,10 +68,10 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
   bool isLutStuck = false;
 
   port.beginSession();
-  switch (model) {
+  switch (model_) {
     case PermanentFaultModel::StuckAt0:
     case PermanentFaultModel::StuckAt1: {
-      const bool v = (model == PermanentFaultModel::StuckAt1);
+      const bool v = (model_ == PermanentFaultModel::StuckAt1);
       if (target & kFlopFlag) {
         const auto& site = impl.flops[target & ~kFlopFlag];
         const std::pair<CbField, bool> set[] = {{CbField::SrMode, v},
@@ -97,7 +95,7 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
       // Open one transistor of the routed net: a connection-box switch for
       // open-line, a programmable-matrix switch for stuck-open.
       const auto& route = impl.routes[target];
-      const bool wantPm = (model == PermanentFaultModel::StuckOpen);
+      const bool wantPm = (model_ == PermanentFaultModel::StuckOpen);
       std::vector<std::size_t> order(route.transistorBits.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       for (std::size_t i = order.size(); i > 1; --i) {
@@ -205,29 +203,39 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
   return outcome;
 }
 
-campaign::CampaignResult PermanentFaults::runCampaign(
-    const PermanentCampaignSpec& spec) {
-  campaign::CampaignResult result;
-  const auto pool = targets(spec.model, spec.unit);
-  for (unsigned e = 0; e < spec.experiments; ++e) {
-    // Some sites cannot host a given defect (e.g. no foreign net adjacent
-    // to bridge to); redraw the target like the paper's tool would.
-    for (unsigned attempt = 0;; ++attempt) {
-      Rng erng(common::streamSeed(spec.seed, std::uint64_t{e} * 97 + attempt));
-      const auto target = pool[erng.below(pool.size())];
-      double seconds = 0;
-      try {
-        // Evaluate the experiment before add(): `seconds` is an out-param
-        // and argument evaluation order is unspecified.
-        const Outcome o = runExperiment(spec.model, target, erng, &seconds);
-        result.add(o, seconds);
-        break;
-      } catch (const common::FadesError& err) {
-        if (err.kind() != ErrorKind::InjectionError || attempt >= 20) throw;
-      }
+std::vector<std::uint32_t> PermanentFaults::enumeratePool(
+    const CampaignSpec& spec) {
+  return spec.targetPool.empty() ? targets(static_cast<Unit>(spec.unit))
+                                 : spec.targetPool;
+}
+
+campaign::ExperimentOutcome PermanentFaults::runExperimentAt(
+    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
+    unsigned index, unsigned /*rerun*/) {
+  // Some sites cannot host a given defect (e.g. no foreign net adjacent
+  // to bridge to); redraw the target like the paper's tool would.
+  for (unsigned attempt = 0;; ++attempt) {
+    Rng erng(
+        common::streamSeed(spec.seed, std::uint64_t{index} * 97 + attempt));
+    const auto target = pool[erng.below(pool.size())];
+    campaign::ExperimentOutcome out;
+    try {
+      out.outcome = runExperiment(target, erng, &out.modeledSeconds);
+    } catch (const common::FadesError& err) {
+      if (err.kind() != ErrorKind::InjectionError || attempt >= 20) throw;
+      continue;
     }
+    const auto& meter = tool_.port_.meter();
+    out.index = index;
+    out.configSeconds = tool_.meterSeconds();
+    out.workloadSeconds =
+        static_cast<double>(tool_.runCycles_) / tool_.opt_.fpgaClockHz;
+    out.hostSeconds = tool_.opt_.hostPerExperimentSeconds;
+    out.bytesToDevice = meter.bytesToDevice;
+    out.bytesFromDevice = meter.bytesFromDevice;
+    out.sessions = meter.sessions;
+    return out;
   }
-  return result;
 }
 
 }  // namespace fades::core

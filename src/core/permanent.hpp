@@ -34,34 +34,43 @@ enum class PermanentFaultModel : std::uint8_t {
 };
 const char* toString(PermanentFaultModel m);
 
-struct PermanentCampaignSpec {
-  PermanentFaultModel model = PermanentFaultModel::StuckAt0;
-  Unit unit = Unit::None;
-  unsigned experiments = 200;
-  std::uint64_t seed = 1;
-};
-
-/// Permanent-fault layer on top of a FadesTool (shares its device, golden
-/// run, cost model and configuration port).
-class PermanentFaults {
+/// Permanent-fault campaign engine on top of a FadesTool (shares its
+/// device, golden run, cost model and configuration port). The fault model
+/// is fixed per engine; campaign::runCampaign drives it like any other
+/// injector, with the CampaignSpec's experiments, seed, unit and target
+/// pool (its model, target class and band do not apply). Experiments keep
+/// no per-experiment records.
+class PermanentFaults final : public campaign::CampaignEngine {
  public:
-  explicit PermanentFaults(FadesTool& tool) : tool_(tool) {}
+  PermanentFaults(FadesTool& tool, PermanentFaultModel model)
+      : tool_(tool), model_(model) {}
 
   /// Target handles: LUT site indices for stuck-at, route indices for the
   /// line faults. FF stuck-at targets are flop sites encoded with the MSB
   /// set.
-  std::vector<std::uint32_t> targets(PermanentFaultModel model,
-                                     Unit unit) const;
+  std::vector<std::uint32_t> targets(Unit unit) const;
 
-  Outcome runExperiment(PermanentFaultModel model, std::uint32_t target,
-                        common::Rng& rng, double* modeledSeconds = nullptr);
+  Outcome runExperiment(std::uint32_t target, common::Rng& rng,
+                        double* modeledSeconds = nullptr);
 
-  campaign::CampaignResult runCampaign(const PermanentCampaignSpec& spec);
+  /// spec.targetPool when set, otherwise targets(spec.unit).
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
+
+  /// Experiment `index` from the stream streamSeed(seed, index * 97 +
+  /// attempt), redrawing up to 20 times on sites that cannot host the
+  /// defect. The stride predates campaign::experimentStream and is kept so
+  /// permanent campaigns keep their published results.
+  campaign::ExperimentOutcome runExperimentAt(
+      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
+      unsigned index, unsigned rerun) override;
+
+  void recover() override { tool_.recover(); }
 
   static constexpr std::uint32_t kFlopFlag = 0x80000000u;
 
  private:
   FadesTool& tool_;
+  PermanentFaultModel model_;
 };
 
 }  // namespace fades::core

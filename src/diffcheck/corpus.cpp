@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/artifact.hpp"
+#include "common/file.hpp"
+#include "obs/json.hpp"
 
 namespace fades::diffcheck {
 
@@ -47,7 +48,7 @@ CaseSpec loadCase(const std::string& path) {
 }
 
 void saveCase(const CaseSpec& c, const std::string& path) {
-  obs::writeFile(path, c.toJson().dump(2) + "\n");
+  common::writeFile(path, c.toJson().dump(2) + "\n");
 }
 
 }  // namespace fades::diffcheck

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 
 namespace fades::fpga {
 
@@ -165,28 +166,8 @@ Bitstream deserializeBitstream(const DeviceSpec& expected,
 void saveBitstream(const std::string& path, const DeviceSpec& spec,
                    const Bitstream& bitstream) {
   const auto bytes = serializeBitstream(spec, bitstream);
-  // Crash-safe tmp + rename: a configuration file on disk is always either
-  // the previous complete image or the new complete image.
-  const std::string tmp = path + ".tmp";
-  {
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-        std::fopen(tmp.c_str(), "wb"), &std::fclose);
-    require(f != nullptr, ErrorKind::ConfigError,
-            "cannot open '" + tmp + "' for writing");
-    const bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), f.get()) == bytes.size() &&
-        std::fflush(f.get()) == 0;
-    if (!ok) {
-      f.reset();
-      std::remove(tmp.c_str());
-      raise(ErrorKind::ConfigError, "short write to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    raise(ErrorKind::ConfigError,
-          "cannot rename '" + tmp + "' to '" + path + "'");
-  }
+  common::writeFile(path, {reinterpret_cast<const char*>(bytes.data()),
+                           bytes.size()});
 }
 
 Bitstream loadBitstream(const std::string& path, const DeviceSpec& expected) {

@@ -23,7 +23,7 @@ std::vector<std::uint8_t> serializeBitstream(const DeviceSpec& spec,
 Bitstream deserializeBitstream(const DeviceSpec& expected,
                                std::vector<std::uint8_t> const& bytes);
 
-/// File convenience wrappers.
+/// File convenience wrappers; saving is crash-safe (common::writeFile).
 void saveBitstream(const std::string& path, const DeviceSpec& spec,
                    const Bitstream& bitstream);
 Bitstream loadBitstream(const std::string& path, const DeviceSpec& expected);

@@ -1,7 +1,6 @@
 #include "obs/artifact.hpp"
 
-#include <cstdio>
-#include <stdexcept>
+#include "common/file.hpp"
 
 namespace fades::obs {
 
@@ -45,35 +44,12 @@ std::string RunArtifact::toJsonl() const {
   return out;
 }
 
-void writeFile(const std::string& path, const std::string& text) {
-  // Crash-safe: write the whole artifact to <path>.tmp, then rename() it
-  // into place (atomic on POSIX). A process killed mid-write leaves either
-  // the previous complete file or a stray .tmp - never a truncated file
-  // that parses as a complete artifact.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open '" + tmp + "' for writing");
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != text.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-}
-
 void RunArtifact::writeJson(const std::string& path, int indent) const {
-  writeFile(path, toJson().dump(indent) + "\n");
+  common::writeFile(path, toJson().dump(indent) + "\n");
 }
 
 void RunArtifact::writeJsonl(const std::string& path) const {
-  writeFile(path, toJsonl());
+  common::writeFile(path, toJsonl());
 }
 
 }  // namespace fades::obs

@@ -40,6 +40,7 @@ class RunArtifact {
   /// experiment, {"metrics","cost",...} summary line.
   std::string toJsonl() const;
 
+  /// Both writers are crash-safe (common::writeFile).
   void writeJson(const std::string& path, int indent = 2) const;
   void writeJsonl(const std::string& path) const;
 
@@ -52,8 +53,5 @@ class RunArtifact {
   Json cost_;
   Json sections_ = Json::object();
 };
-
-/// Write text to a file, throwing std::runtime_error on I/O failure.
-void writeFile(const std::string& path, const std::string& text);
 
 }  // namespace fades::obs

@@ -9,7 +9,7 @@
 
 #include "campaign/artifact.hpp"
 #include "common/error.hpp"
-#include "obs/artifact.hpp"
+#include "common/file.hpp"
 #include "obs/log.hpp"
 
 namespace fades::service {
@@ -522,7 +522,7 @@ void Coordinator::finalizeLocked(Campaign& c) {
   for (const auto& [index, outcome] : c.committed) result.fold(outcome);
   const std::string text = artifactText(c.job, result);
   const std::string object = fnv1a64Hex(text);
-  obs::writeFile(opt_.storeDir + "/objects/" + object + ".json", text);
+  common::writeFile(opt_.storeDir + "/objects/" + object + ".json", text);
   c.artifactObject = object;
   c.complete = true;
   writeMetaLocked(c);
@@ -540,7 +540,7 @@ void Coordinator::writeMetaLocked(const Campaign& c) {
   meta.set("job", toJson(c.job));
   meta.set("complete", Json(c.complete));
   if (!c.artifactObject.empty()) meta.set("object", Json(c.artifactObject));
-  obs::writeFile(opt_.storeDir + "/campaigns/" + c.fp + ".json",
+  common::writeFile(opt_.storeDir + "/campaigns/" + c.fp + ".json",
                  meta.dump(2) + "\n");
 }
 

@@ -12,7 +12,7 @@
 #include "mc8051/iss.hpp"
 #include "mc8051/workloads.hpp"
 #include "prune/prune.hpp"
-#include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "service/wire.hpp"
@@ -241,36 +241,6 @@ std::string fingerprint(const JobSpec& job) {
   return fnv1a64Hex(toJson(job).dump());
 }
 
-namespace {
-
-/// The robustness/parallel test-suite mini design: an 8-bit LFSR, a 4-bit
-/// counter, their sum on "out", and a small write-only RAM log - every
-/// functional unit represented, built in milliseconds. The service's fast
-/// workload for protocol and chaos tests.
-netlist::Netlist buildDemoNetlist() {
-  rtl::Builder b;
-  b.setUnit(netlist::Unit::Registers);
-  rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
-  b.setUnit(netlist::Unit::Fsm);
-  rtl::Register cnt = b.makeRegister("cnt", 4, 0);
-  b.setUnit(netlist::Unit::Registers);
-  auto fb =
-      b.lxor(lfsr.q[7], b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
-  rtl::Bus next{fb};
-  for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
-  b.connect(lfsr, next);
-  b.setUnit(netlist::Unit::Fsm);
-  b.connect(cnt, b.increment(cnt.q));
-  b.setUnit(netlist::Unit::Alu);
-  auto sum = b.add(lfsr.q, b.zeroExtend(cnt.q, 8), {});
-  b.setUnit(netlist::Unit::Ram);
-  b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
-  b.output("out", sum.sum);
-  return b.finish();
-}
-
-}  // namespace
-
 std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
                                             const BuildKnobs& knobs) {
   validate(job);
@@ -281,7 +251,7 @@ std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
   std::shared_ptr<campaign::InstructionTrace> trace;
   if (job.workload == "demo") {
     sys->runCycles = 64;
-    sys->netlist = buildDemoNetlist();
+    sys->netlist = rtl::demoDesign();
     observed = {"out"};
   } else {
     const auto workload = mc8051::bubblesort(6);

@@ -25,7 +25,7 @@
 #include "mc8051/core.hpp"
 #include "mc8051/iss.hpp"
 #include "mc8051/workloads.hpp"
-#include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
 #include "synth/implement.hpp"
 
 namespace fades {
@@ -42,37 +42,12 @@ using campaign::Outcome;
 using campaign::TargetClass;
 using netlist::Unit;
 
-// Same mini multi-unit design as the fault/parallel tests: an 8-bit LFSR,
-// a 4-bit counter, their sum on "out", and a small write-only RAM log.
+/// The demo design (rtl::demoDesign) implemented on the small device.
 struct MiniDesign {
-  netlist::Netlist nl;
-  synth::Implementation impl;
+  netlist::Netlist nl = rtl::demoDesign();
+  synth::Implementation impl =
+      synth::implement(nl, fpga::DeviceSpec::small());
   std::uint64_t cycles = 64;
-
-  static netlist::Netlist build() {
-    rtl::Builder b;
-    b.setUnit(Unit::Registers);
-    rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
-    b.setUnit(Unit::Fsm);
-    rtl::Register cnt = b.makeRegister("cnt", 4, 0);
-    b.setUnit(Unit::Registers);
-    auto fb = b.lxor(lfsr.q[7],
-                     b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
-    rtl::Bus next{fb};
-    for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
-    b.connect(lfsr, next);
-    b.setUnit(Unit::Fsm);
-    b.connect(cnt, b.increment(cnt.q));
-    b.setUnit(Unit::Alu);
-    auto sum = b.add(lfsr.q, b.zeroExtend(cnt.q, 8), {});
-    b.setUnit(Unit::Ram);
-    b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
-    b.output("out", sum.sum);
-    return b.finish();
-  }
-
-  MiniDesign()
-      : nl(build()), impl(synth::implement(nl, fpga::DeviceSpec::small())) {}
 
   static const MiniDesign& instance() {
     static MiniDesign d;

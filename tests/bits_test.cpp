@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
-#include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
 #include "synth/implement.hpp"
 
 namespace fades::bits {
@@ -277,36 +277,12 @@ using core::FadesOptions;
 using core::FadesTool;
 using netlist::Unit;
 
-/// Small multi-unit design: 8-bit LFSR, 4-bit counter, adder, RAM log.
+/// The demo design (rtl::demoDesign) implemented on the small device.
 struct CacheDesign {
-  netlist::Netlist nl;
-  synth::Implementation impl;
+  netlist::Netlist nl = rtl::demoDesign();
+  synth::Implementation impl =
+      synth::implement(nl, fpga::DeviceSpec::small());
   std::uint64_t cycles = 48;
-
-  static netlist::Netlist build() {
-    rtl::Builder b;
-    b.setUnit(Unit::Registers);
-    rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
-    b.setUnit(Unit::Fsm);
-    rtl::Register cnt = b.makeRegister("cnt", 4, 0);
-    b.setUnit(Unit::Registers);
-    auto fb = b.lxor(lfsr.q[7],
-                     b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
-    rtl::Bus next{fb};
-    for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
-    b.connect(lfsr, next);
-    b.setUnit(Unit::Fsm);
-    b.connect(cnt, b.increment(cnt.q));
-    b.setUnit(Unit::Alu);
-    auto sum = b.add(lfsr.q, b.zeroExtend(cnt.q, 8), {});
-    b.setUnit(Unit::Ram);
-    b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
-    b.output("out", sum.sum);
-    return b.finish();
-  }
-
-  CacheDesign()
-      : nl(build()), impl(synth::implement(nl, fpga::DeviceSpec::small())) {}
 
   static const CacheDesign& instance() {
     static CacheDesign d;

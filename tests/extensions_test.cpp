@@ -10,7 +10,6 @@
 #include "fpga/bitstream_io.hpp"
 #include "rtl/builder.hpp"
 #include "sim/simulator.hpp"
-#include "sim/vcd.hpp"
 #include "synth/implement.hpp"
 #include "synth/instrument.hpp"
 
@@ -335,51 +334,6 @@ TEST(BitstreamIo, Crc32KnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(fpga::crc32(reinterpret_cast<const std::uint8_t*>(s), 9),
             0xCBF43926u);
-}
-
-// ----------------------------------------------------------------- VCD -----
-
-TEST(Vcd, EmitsHeaderAndOnlyChanges) {
-  Builder b;
-  rtl::Register c = b.makeRegister("c", 2, 0);
-  b.connect(c, b.increment(c.q));
-  b.output("c", c.q);
-  b.output("msb", c.q[1]);
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  sim::VcdWriter vcd(s, nl);
-  vcd.addAllOutputs();
-  for (std::uint64_t cy = 0; cy < 6; ++cy) {
-    vcd.sample(cy);
-    s.step();
-  }
-  const std::string text = vcd.str();
-  EXPECT_NE(text.find("$timescale 40 ns $end"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 2"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(text.find("#0"), std::string::npos);
-  // msb (bit 1) changes at cycle 2: timestamps present for changes only.
-  EXPECT_NE(text.find("#2"), std::string::npos);
-  EXPECT_EQ(text.find("#1\n1"), std::string::npos);  // msb did not change at 1
-  // Counter bus emitted MSB-first.
-  EXPECT_NE(text.find("b01 "), std::string::npos);
-  EXPECT_NE(text.find("b10 "), std::string::npos);
-}
-
-TEST(Vcd, SaveWritesFile) {
-  Builder b;
-  b.output("y", b.lnot(b.inputBit("a")));
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  sim::VcdWriter vcd(s, nl);
-  vcd.addAllOutputs();
-  vcd.sample(0);
-  const std::string path = ::testing::TempDir() + "/fades_test.vcd";
-  vcd.save(path);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- multiple bit-flips -----

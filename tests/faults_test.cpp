@@ -4,12 +4,13 @@
 
 #include <memory>
 
+#include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
 #include "core/fades.hpp"
 #include "core/lut_circuit.hpp"
 #include "core/permanent.hpp"
 #include "fpga/device.hpp"
-#include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
 #include "synth/implement.hpp"
 #include "vfit/vfit.hpp"
 
@@ -115,40 +116,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LutCircuitProperty, ::testing::Range(1, 5));
 
 // -------------------------------------------------------- mini system -----
 
-/// Small multi-unit design used by fast fault tests:
-///  - Registers: 8-bit LFSR
-///  - Fsm:       4-bit counter
-///  - Alu:       sum = lfsr + counter
-///  - Ram:       16x8 write-only log of LFSR values (never read back)
+/// The demo design (rtl::demoDesign) implemented on the small device.
 struct MiniDesign {
-  netlist::Netlist nl;
-  synth::Implementation impl;
+  netlist::Netlist nl = rtl::demoDesign();
+  synth::Implementation impl =
+      synth::implement(nl, fpga::DeviceSpec::small());
   std::uint64_t cycles = 64;
-
-  static netlist::Netlist build() {
-    rtl::Builder b;
-    b.setUnit(Unit::Registers);
-    rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
-    b.setUnit(Unit::Fsm);
-    rtl::Register cnt = b.makeRegister("cnt", 4, 0);
-    b.setUnit(Unit::Registers);
-    auto fb = b.lxor(lfsr.q[7],
-                     b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
-    rtl::Bus next{fb};
-    for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
-    b.connect(lfsr, next);
-    b.setUnit(Unit::Fsm);
-    b.connect(cnt, b.increment(cnt.q));
-    b.setUnit(Unit::Alu);
-    auto sum = b.add(lfsr.q, b.zeroExtend(cnt.q, 8), {});
-    b.setUnit(Unit::Ram);
-    b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
-    b.output("out", sum.sum);
-    return b.finish();
-  }
-
-  MiniDesign()
-      : nl(build()), impl(synth::implement(nl, fpga::DeviceSpec::small())) {}
 
   static const MiniDesign& instance() {
     static MiniDesign d;
@@ -478,7 +451,8 @@ TEST(Fades, MultiBitFlipProbeFindsRegisterEffects) {
 
 TEST(Permanent, StuckAtFlopForcesLevelForWholeRun) {
   FadesRig rig;
-  core::PermanentFaults permanent(*rig.tool);
+  core::PermanentFaults permanent(*rig.tool,
+                                  core::PermanentFaultModel::StuckAt1);
   Rng rng(41);
   // Stuck-at on an LFSR flip-flop: the register can never hold its proper
   // sequence, so the combinational output must diverge.
@@ -488,7 +462,6 @@ TEST(Permanent, StuckAtFlopForcesLevelForWholeRun) {
     if (impl.flops[i].name == "lfsr[0]") lfsrBit0 = i;
   }
   const auto o = permanent.runExperiment(
-      core::PermanentFaultModel::StuckAt1,
       lfsrBit0 | core::PermanentFaults::kFlopFlag, rng);
   EXPECT_EQ(o, campaign::Outcome::Failure);
   // Configuration restored for the next experiment.
@@ -498,15 +471,14 @@ TEST(Permanent, StuckAtFlopForcesLevelForWholeRun) {
 
 TEST(Permanent, StuckAtLutOnConstantlyActiveLogicFails) {
   FadesRig rig;
-  core::PermanentFaults permanent(*rig.tool);
+  core::PermanentFaults permanent(*rig.tool,
+                                  core::PermanentFaultModel::StuckAt0);
   Rng rng(43);
-  const auto pool =
-      permanent.targets(core::PermanentFaultModel::StuckAt0, Unit::Alu);
+  const auto pool = permanent.targets(Unit::Alu);
   int failures = 0;
   for (std::size_t k = 0; k < pool.size() && k < 12; ++k) {
     if ((pool[k] & core::PermanentFaults::kFlopFlag) != 0) continue;
-    const auto o = permanent.runExperiment(core::PermanentFaultModel::StuckAt0,
-                                           pool[k], rng);
+    const auto o = permanent.runExperiment(pool[k], rng);
     failures += (o == campaign::Outcome::Failure);
   }
   EXPECT_GT(failures, 0);  // the adder output bits are always observed
@@ -514,14 +486,13 @@ TEST(Permanent, StuckAtLutOnConstantlyActiveLogicFails) {
 
 TEST(Permanent, OpenAndStuckOpenSplitTheNet) {
   FadesRig rig;
-  core::PermanentFaults permanent(*rig.tool);
   Rng rng(47);
   for (const auto model : {core::PermanentFaultModel::OpenLine,
                            core::PermanentFaultModel::StuckOpen}) {
-    const auto pool = permanent.targets(model, Unit::None);
+    core::PermanentFaults permanent(*rig.tool, model);
+    const auto pool = permanent.targets(Unit::None);
     ASSERT_FALSE(pool.empty());
-    const auto o =
-        permanent.runExperiment(model, pool[rng.below(pool.size())], rng);
+    const auto o = permanent.runExperiment(pool[rng.below(pool.size())], rng);
     (void)o;  // outcome depends on the net; restoration is the invariant
     EXPECT_EQ(rig.device->readbackBitstream().logic,
               MiniDesign::instance().impl.bitstream.logic)
@@ -529,27 +500,64 @@ TEST(Permanent, OpenAndStuckOpenSplitTheNet) {
   }
 }
 
+constexpr core::PermanentFaultModel kPermanentModels[] = {
+    core::PermanentFaultModel::StuckAt0, core::PermanentFaultModel::StuckAt1,
+    core::PermanentFaultModel::OpenLine, core::PermanentFaultModel::StuckOpen,
+    core::PermanentFaultModel::Bridging};
+
+CampaignSpec permanentSpec() {
+  CampaignSpec spec;
+  spec.experiments = 8;
+  spec.seed = 51;
+  return spec;
+}
+
 TEST(Permanent, CampaignCoversAllModelsDeterministically) {
   FadesRig rig;
-  core::PermanentFaults permanent(*rig.tool);
-  for (const auto model :
-       {core::PermanentFaultModel::StuckAt0,
-        core::PermanentFaultModel::StuckAt1,
-        core::PermanentFaultModel::OpenLine,
-        core::PermanentFaultModel::StuckOpen,
-        core::PermanentFaultModel::Bridging}) {
-    core::PermanentCampaignSpec spec;
-    spec.model = model;
-    spec.experiments = 8;
-    spec.seed = 51;
-    const auto r1 = permanent.runCampaign(spec);
-    const auto r2 = permanent.runCampaign(spec);
+  for (const auto model : kPermanentModels) {
+    core::PermanentFaults permanent(*rig.tool, model);
+    const auto r1 = campaign::runCampaign(permanent, permanentSpec());
+    const auto r2 = campaign::runCampaign(permanent, permanentSpec());
     EXPECT_EQ(r1.total(), 8u) << core::toString(model);
     EXPECT_EQ(r1.failures, r2.failures) << core::toString(model);
   }
   // After everything, the configuration is pristine.
   EXPECT_EQ(rig.device->readbackBitstream().logic,
             MiniDesign::instance().impl.bitstream.logic);
+}
+
+TEST(Permanent, CampaignResultsPinned) {
+  // Totals and modeled seconds of each model's campaign, as the dedicated
+  // permanent-fault loop produced them before permanent faults moved onto
+  // the campaign runner: the move must not change a bit. 40 experiments,
+  // because at 8 the totals read the same with experimentStream's stride
+  // of 131 in place of the kept 97.
+  struct Pin {
+    std::size_t failures, latents, silents;
+    double modeledSum;
+  };
+  const Pin pins[] = {
+      {40, 0, 0, 0x1.3a13066d018acp+3},  // stuck-at-0
+      {40, 0, 0, 0x1.3a13066d018acp+3},  // stuck-at-1
+      {33, 4, 3, 0x1.46e5d12487bdcp+3},  // open-line
+      {39, 0, 1, 0x1.46e5d12487bdcp+3},  // stuck-open
+      {40, 0, 0, 0x1.46e5d12487bdcp+3},  // bridging
+  };
+  CampaignSpec spec = permanentSpec();
+  spec.experiments = 40;
+  FadesRig rig;
+  for (std::size_t m = 0; m < std::size(kPermanentModels); ++m) {
+    core::PermanentFaults permanent(*rig.tool, kPermanentModels[m]);
+    const auto r = campaign::runCampaign(permanent, spec);
+    SCOPED_TRACE(core::toString(kPermanentModels[m]));
+    EXPECT_EQ(r.failures, pins[m].failures);
+    EXPECT_EQ(r.latents, pins[m].latents);
+    EXPECT_EQ(r.silents, pins[m].silents);
+    EXPECT_EQ(r.modeledSeconds.sum(), pins[m].modeledSum);
+    // The cost breakdown decomposes the same modeled seconds.
+    EXPECT_NEAR(r.cost.totalSeconds(), r.modeledSeconds.sum(), 1e-9);
+    EXPECT_GT(r.cost.sessions, 0u);
+  }
 }
 
 TEST(Fades, IndeterminationForcesValueForWholeDuration) {

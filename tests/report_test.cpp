@@ -4,6 +4,7 @@
 
 #include "campaign/report.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 
 namespace fades::campaign {
 namespace {
@@ -97,7 +98,7 @@ TEST(Report, RecordsCsvRequiresRecords) {
 
 TEST(Report, WriteTextFileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/fades_report.md";
-  writeTextFile(path, "hello report\n");
+  common::writeFile(path, "hello report\n");
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   char buf[32] = {};

@@ -15,14 +15,14 @@
 #include "campaign/artifact.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
-#include "campaign/report.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
-#include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
 #include "synth/implement.hpp"
 
 namespace fades {
@@ -48,37 +48,12 @@ using netlist::Unit;
 
 // ------------------------------------------------------- tiny test rig -----
 
-// Same mini multi-unit design as the parallel tests: an 8-bit LFSR, a 4-bit
-// counter, their sum on "out", and a small write-only RAM log.
+/// The demo design (rtl::demoDesign) implemented on the small device.
 struct MiniDesign {
-  netlist::Netlist nl;
-  synth::Implementation impl;
+  netlist::Netlist nl = rtl::demoDesign();
+  synth::Implementation impl =
+      synth::implement(nl, fpga::DeviceSpec::small());
   std::uint64_t cycles = 64;
-
-  static netlist::Netlist build() {
-    rtl::Builder b;
-    b.setUnit(Unit::Registers);
-    rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
-    b.setUnit(Unit::Fsm);
-    rtl::Register cnt = b.makeRegister("cnt", 4, 0);
-    b.setUnit(Unit::Registers);
-    auto fb = b.lxor(lfsr.q[7],
-                     b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
-    rtl::Bus next{fb};
-    for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
-    b.connect(lfsr, next);
-    b.setUnit(Unit::Fsm);
-    b.connect(cnt, b.increment(cnt.q));
-    b.setUnit(Unit::Alu);
-    auto sum = b.add(lfsr.q, b.zeroExtend(cnt.q, 8), {});
-    b.setUnit(Unit::Ram);
-    b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
-    b.output("out", sum.sum);
-    return b.finish();
-  }
-
-  MiniDesign()
-      : nl(build()), impl(synth::implement(nl, fpga::DeviceSpec::small())) {}
 
   static const MiniDesign& instance() {
     static MiniDesign d;
@@ -635,25 +610,33 @@ TEST(RetryPolicy, FatalErrorsStillAbortTheCampaign) {
 }
 
 // ------------------------------------------------- crash-safe writers -----
+//
+// Every writer goes through common::writeFile; the artifact cases drive it
+// through RunArtifact::writeJson, the report cases call it as fades_report
+// does. An unwritable path raises FadesError, not a bare
+// std::runtime_error: every CLI turns FadesError into "error: ..." and
+// exit 1, so an unwritable output path never escapes as an uncaught
+// exception.
 
 TEST(CrashSafeWriters, ArtifactWriterLeavesNoTmpBehind) {
   TempPath path("robustness_artifact_out.json");
-  obs::writeFile(path.str, "{\"ok\": true}\n");
-  EXPECT_EQ(readWholeFile(path.str), "{\"ok\": true}\n");
+  const obs::RunArtifact artifact("campaign", "x");
+  artifact.writeJson(path.str);
+  EXPECT_EQ(readWholeFile(path.str), artifact.toJson().dump(2) + "\n");
   std::FILE* tmp = std::fopen((path.str + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);
   if (tmp != nullptr) std::fclose(tmp);
 }
 
 TEST(CrashSafeWriters, ArtifactWriterReportsUnwritablePath) {
-  EXPECT_THROW(
-      obs::writeFile("robustness_no_such_dir/artifact.json", "content"),
-      std::runtime_error);
+  EXPECT_THROW(obs::RunArtifact("campaign", "x")
+                   .writeJson("robustness_no_such_dir/artifact.json"),
+               FadesError);
 }
 
 TEST(CrashSafeWriters, ReportWriterLeavesNoTmpBehind) {
   TempPath path("robustness_report_out.md");
-  campaign::writeTextFile(path.str, "## report\n");
+  common::writeFile(path.str, "## report\n");
   EXPECT_EQ(readWholeFile(path.str), "## report\n");
   std::FILE* tmp = std::fopen((path.str + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);
@@ -661,9 +644,8 @@ TEST(CrashSafeWriters, ReportWriterLeavesNoTmpBehind) {
 }
 
 TEST(CrashSafeWriters, ReportWriterReportsUnwritablePath) {
-  EXPECT_THROW(
-      campaign::writeTextFile("robustness_no_such_dir/report.md", "content"),
-      FadesError);
+  EXPECT_THROW(common::writeFile("robustness_no_such_dir/report.md", "content"),
+               FadesError);
 }
 
 }  // namespace

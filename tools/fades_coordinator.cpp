@@ -34,8 +34,8 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/parse.hpp"
-#include "obs/artifact.hpp"
 #include "service/coordinator.hpp"
 
 using namespace fades;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
                 coordinator.port(), opt.storeDir.c_str());
     std::fflush(stdout);
     if (!portFile.empty()) {
-      obs::writeFile(portFile, std::to_string(coordinator.port()) + "\n");
+      common::writeFile(portFile, std::to_string(coordinator.port()) + "\n");
     }
     if (resume) {
       const auto resumed = coordinator.resumeFromStore();

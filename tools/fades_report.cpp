@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "analytics/analytics.hpp"
-#include "campaign/report.hpp"
+#include "common/file.hpp"
 
 namespace {
 
@@ -64,16 +64,14 @@ int main(int argc, char** argv) {
     const auto loaded = fades::analytics::loadInputs(inputs);
     const auto report = fades::analytics::buildReport(loaded);
     if (!jsonPath.empty()) {
-      fades::campaign::writeTextFile(
+      fades::common::writeFile(
           jsonPath, fades::analytics::toJson(report).dump(2) + "\n");
     }
     if (!mdPath.empty()) {
-      fades::campaign::writeTextFile(mdPath,
-                                     fades::analytics::toMarkdown(report));
+      fades::common::writeFile(mdPath, fades::analytics::toMarkdown(report));
     }
     if (!csvPath.empty()) {
-      fades::campaign::writeTextFile(csvPath,
-                                     fades::analytics::toCsv(report));
+      fades::common::writeFile(csvPath, fades::analytics::toCsv(report));
     }
     if (jsonPath.empty() && mdPath.empty() && csvPath.empty()) {
       std::fputs(fades::analytics::toMarkdown(report).c_str(), stdout);

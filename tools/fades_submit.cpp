@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/parse.hpp"
-#include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "service/jobspec.hpp"
 #include "service/wire.hpp"
@@ -177,7 +177,7 @@ int fetchOffline(const std::string& storeDir, const std::string& fp,
   if (outPath.empty()) {
     std::fputs(content.str().c_str(), stdout);
   } else {
-    obs::writeFile(outPath, content.str());
+    common::writeFile(outPath, content.str());
     std::printf("wrote %s (object %s)\n", outPath.c_str(), object.c_str());
   }
   return 0;
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
       if (outPath.empty()) {
         std::fputs(content.c_str(), stdout);
       } else {
-        obs::writeFile(outPath, content);
+        common::writeFile(outPath, content);
         std::printf("wrote %s (object %s)\n", outPath.c_str(),
                     stringField(reply, "object").c_str());
       }
