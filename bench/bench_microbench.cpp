@@ -9,12 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bits/config_port.hpp"
 #include "campaign/types.hpp"
 #include "core/autonomous.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
-#include "mc8051/core.hpp"
 #include "mc8051/iss.hpp"
 #include "mc8051/workloads.hpp"
 #include "campaign/prune_plan.hpp"
@@ -29,31 +29,27 @@ namespace {
 
 using namespace fades;
 
-struct Shared {
-  mc8051::Workload workload = mc8051::bubblesort(6);
-  netlist::Netlist nl = mc8051::buildCore(workload.bytes);
-  synth::Implementation impl =
-      synth::implement(nl, fpga::DeviceSpec::virtex1000Like());
-
-  static const Shared& get() {
-    static Shared s;
-    return s;
-  }
-};
+// The paper's system under test (MC8051 + Bubblesort), built once by
+// service::buildSystem like campaign_8051 and the table benches.
+const bench::System8051& shared() {
+  static const bench::System8051 system;
+  return system;
+}
 
 void BM_IssCycle(benchmark::State& state) {
-  mc8051::Iss iss(Shared::get().workload.bytes);
+  const auto workload = mc8051::bubblesort(6);
+  mc8051::Iss iss(workload.bytes);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     cycles += iss.stepInstruction();
-    if (iss.cycleCount() > Shared::get().workload.cycles) iss.reset();
+    if (iss.cycleCount() > workload.cycles) iss.reset();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
 BENCHMARK(BM_IssCycle);
 
 void BM_NetlistSimulatorCycle(benchmark::State& state) {
-  sim::Simulator simulator(Shared::get().nl);
+  sim::Simulator simulator(shared().netlist());
   for (auto _ : state) simulator.step();
   state.SetItemsProcessed(state.iterations());
 }
@@ -64,7 +60,7 @@ BENCHMARK(BM_NetlistSimulatorCycle);
 // BM_NetlistSimulatorCycle's (one machine-cycle per iteration). CI's
 // regression gate requires the ratio to stay >= 10x.
 void BM_CompiledNetlistCycle(benchmark::State& state) {
-  sim::CompiledSimulator cs(Shared::get().nl);
+  sim::CompiledSimulator cs(shared().netlist());
   for (auto _ : state) cs.step();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(
@@ -87,9 +83,9 @@ struct VfitShared {
     return opt;
   }
   VfitShared()
-      : event(Shared::get().nl, Shared::get().workload.cycles,
+      : event(shared().netlist(), shared().runCycles(),
               options(sim::EngineKind::EventDriven)),
-        compiled(Shared::get().nl, Shared::get().workload.cycles,
+        compiled(shared().netlist(), shared().runCycles(),
                  options(sim::EngineKind::Compiled)) {}
   static VfitShared& get() {
     static VfitShared s;
@@ -135,9 +131,9 @@ struct AutonomousShared {
     return opt;
   }
   AutonomousShared()
-      : event(Shared::get().nl, Shared::get().workload.cycles,
+      : event(shared().netlist(), shared().runCycles(),
               options(sim::EngineKind::EventDriven)),
-        compiled(Shared::get().nl, Shared::get().workload.cycles,
+        compiled(shared().netlist(), shared().runCycles(),
                  options(sim::EngineKind::Compiled)) {}
   static AutonomousShared& get() {
     static AutonomousShared s;
@@ -176,11 +172,11 @@ BENCHMARK(BM_AutonomousCampaignCompiled)
 // host turnaround per injection) against the autonomous one (mask-chain
 // load + restore sweep at emulator clock), so it is machine-independent.
 void BM_AutonomousVsRtrModeledSpeedup(benchmark::State& state) {
-  const auto& s = Shared::get();
+  const auto& s = shared();
   core::FadesOptions fOpt;
   fOpt.observedOutputs = {"p0", "p1"};
-  fpga::Device dev(s.impl.spec);
-  core::FadesTool rtr(dev, s.impl, s.workload.cycles, fOpt);
+  fpga::Device dev(s.implementation().spec);
+  core::FadesTool rtr(dev, s.implementation(), s.runCycles(), fOpt);
   auto& aut = AutonomousShared::get().event;
 
   campaign::CampaignSpec spec;
@@ -203,48 +199,46 @@ BENCHMARK(BM_AutonomousVsRtrModeledSpeedup)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_FpgaEmulationCycle(benchmark::State& state) {
-  const auto& s = Shared::get();
-  fpga::Device dev(s.impl.spec);
-  dev.writeFullBitstream(s.impl.bitstream);
+  const auto& impl = shared().implementation();
+  fpga::Device dev(impl.spec);
+  dev.writeFullBitstream(impl.bitstream);
   for (auto _ : state) dev.step();
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FpgaEmulationCycle);
 
 void BM_LutTableRewrite(benchmark::State& state) {
-  const auto& s = Shared::get();
-  fpga::Device dev(s.impl.spec);
-  dev.writeFullBitstream(s.impl.bitstream);
+  const auto& impl = shared().implementation();
+  fpga::Device dev(impl.spec);
+  dev.writeFullBitstream(impl.bitstream);
   bits::ConfigPort port(dev);
-  const auto cb = s.impl.luts[0].cb;
-  const auto original = s.impl.luts[0].table;
+  const auto cb = impl.luts[0].cb;
+  const auto original = impl.luts[0].table;
   for (auto _ : state) {
     port.setLutTable(cb, static_cast<std::uint16_t>(~original));
-    dev.settle();
     port.setLutTable(cb, original);
-    dev.settle();
   }
   state.SetItemsProcessed(2 * state.iterations());
 }
 BENCHMARK(BM_LutTableRewrite);
 
 void BM_CaptureFrameReadback(benchmark::State& state) {
-  const auto& s = Shared::get();
-  fpga::Device dev(s.impl.spec);
-  dev.writeFullBitstream(s.impl.bitstream);
+  const auto& impl = shared().implementation();
+  fpga::Device dev(impl.spec);
+  dev.writeFullBitstream(impl.bitstream);
   bits::ConfigPort port(dev);
   unsigned col = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(port.readCaptureFrame(col));
-    col = (col + 1) % s.impl.spec.cols;
+    col = (col + 1) % impl.spec.cols;
   }
 }
 BENCHMARK(BM_CaptureFrameReadback);
 
 void BM_DeviceStateRestore(benchmark::State& state) {
-  const auto& s = Shared::get();
-  fpga::Device dev(s.impl.spec);
-  dev.writeFullBitstream(s.impl.bitstream);
+  const auto& impl = shared().implementation();
+  fpga::Device dev(impl.spec);
+  dev.writeFullBitstream(impl.bitstream);
   const auto snapshot = dev.captureState();
   for (auto _ : state) dev.restoreState(snapshot);
 }
@@ -463,10 +457,10 @@ BENCHMARK(BM_PruneCollapseFlopsPlusMemory)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_Synthesize8051(benchmark::State& state) {
-  const auto& s = Shared::get();
+  const auto& s = shared();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        synth::implement(s.nl, fpga::DeviceSpec::virtex1000Like()));
+        synth::implement(s.netlist(), fpga::DeviceSpec::virtex1000Like()));
   }
 }
 BENCHMARK(BM_Synthesize8051)->Unit(benchmark::kMillisecond)->Iterations(3);

@@ -16,18 +16,18 @@
 #include "bits/config_port.hpp"
 #include "common/rng.hpp"
 #include "fpga/device.hpp"
-#include "mc8051/core.hpp"
-#include "mc8051/workloads.hpp"
-#include "synth/implement.hpp"
+#include "service/jobspec.hpp"
 
 using namespace fades;
 
 int main() {
   // The "vendor" side: produce a configured core. The integrator only keeps
   // the bitstream and the pad binding of the output port pins.
-  const auto workload = mc8051::bubblesort(6);
-  const auto impl = synth::implement(mc8051::buildCore(workload.bytes),
-                                     fpga::DeviceSpec::virtex1000Like());
+  service::JobSpec job;  // tool fades, workload bubblesort6
+  job.keepRecords = false;
+  const auto system = service::buildSystem(job);
+  const std::uint64_t cycles = system->runCycles;
+  const synth::Implementation& impl = *system->impl;
   const fpga::Bitstream& bitstream = impl.bitstream;
   std::vector<unsigned> outputPads;
   for (const auto& p : impl.pads) {
@@ -66,7 +66,7 @@ int main() {
   };
   std::vector<std::uint64_t> golden;
   const auto initial = device.captureState();
-  for (std::uint64_t c = 0; c < workload.cycles; ++c) {
+  for (std::uint64_t c = 0; c < cycles; ++c) {
     golden.push_back(observe());
     device.step();
   }
@@ -78,29 +78,24 @@ int main() {
   for (unsigned e = 0; e < experiments; ++e) {
     device.restoreState(initial);
     const auto cb = usedLuts[rng.below(usedLuts.size())];
-    const auto injectAt = rng.below(workload.cycles);
+    const auto injectAt = rng.below(cycles);
     const auto duration = 1 + rng.below(10);
 
     bool diverged = false;
     std::uint16_t original = 0;
-    for (std::uint64_t c = 0; c < workload.cycles; ++c) {
+    for (std::uint64_t c = 0; c < cycles; ++c) {
       if (c == injectAt) {
         original = port.getLutTable(cb);
         port.setLutTable(cb, static_cast<std::uint16_t>(~original));
-        device.settle();
       }
-      if (c == injectAt + duration) {
-        port.setLutTable(cb, original);
-        device.settle();
-      }
+      if (c == injectAt + duration) port.setLutTable(cb, original);
       diverged |= (observe() != golden[c]);
       device.step();
     }
-    if (injectAt + duration >= workload.cycles) {
+    if (injectAt + duration >= cycles) {
       // The fault outlived the run: restore the configuration for the next
       // experiment (state is restored separately).
       port.setLutTable(cb, original);
-      device.settle();
     }
     failures += diverged;
     silents += !diverged;

@@ -9,21 +9,20 @@
 
 #include "core/permanent.hpp"
 #include "fpga/device.hpp"
-#include "mc8051/core.hpp"
-#include "mc8051/workloads.hpp"
-#include "synth/implement.hpp"
+#include "service/jobspec.hpp"
 
 using namespace fades;
 
 int main() {
-  const auto workload = mc8051::bubblesort(6);
-  const auto impl = synth::implement(mc8051::buildCore(workload.bytes),
-                                     fpga::DeviceSpec::virtex1000Like());
+  service::JobSpec job;  // tool fades, workload bubblesort6
+  job.keepRecords = false;
+  const auto system = service::buildSystem(job);
+  const synth::Implementation& impl = *system->impl;
   fpga::Device device(impl.spec);
-  core::FadesTool fades(device, impl, workload.cycles);
+  core::FadesTool fades(device, impl, system->runCycles);
 
   std::printf("Permanent faults on the MC8051 (%llu-cycle Bubblesort):\n\n",
-              static_cast<unsigned long long>(workload.cycles));
+              static_cast<unsigned long long>(system->runCycles));
   std::printf("%-12s %8s %9s %8s %8s\n", "model", "targets", "failure%",
               "latent%", "silent%");
 

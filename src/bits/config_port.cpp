@@ -142,7 +142,7 @@ void ConfigPort::sync() {
       // downloads and the direct-write escape hatch call invalidate()), so
       // the now-clean shadow stays valid and keeps serving reads. Capture
       // and BRAM-content frames mirror run-time state that the next
-      // settle/step/GSR pulse rewrites, so those are dropped.
+      // evaluation, edge or GSR pulse rewrites, so those are dropped.
       ++it;
     } else {
       ++evicted;
@@ -333,14 +333,6 @@ void ConfigPort::setLutTable(CbCoord cb, std::uint16_t table) {
   setLogicBits(lutBits(dev_.layout(), cb, table));
 }
 
-bool ConfigPort::getLogicBit(std::size_t addr) {
-  const auto& layout = dev_.layout();
-  const FrameAddr f = layout.frameOfLogicBit(addr);
-  const auto bytes = readLogicFrame(f);
-  const std::size_t rel = addr - layout.logicFrameFirstBit(f);
-  return (bytes[rel >> 3] >> (rel & 7)) & 1u;
-}
-
 void ConfigPort::setLogicBit(std::size_t addr, bool value) {
   const std::pair<std::size_t, bool> update[] = {{addr, value}};
   setLogicBits(update);
@@ -395,7 +387,12 @@ void ConfigPort::updateCbFieldsBlind(
 }
 
 bool ConfigPort::getCbFieldBit(CbCoord cb, CbField field) {
-  return getLogicBit(dev_.layout().cbFieldBit(cb, field));
+  const auto& layout = dev_.layout();
+  const std::size_t addr = layout.cbFieldBit(cb, field);
+  const FrameAddr f = layout.frameOfLogicBit(addr);
+  const auto bytes = readLogicFrame(f);
+  const std::size_t rel = addr - layout.logicFrameFirstBit(f);
+  return (bytes[rel >> 3] >> (rel & 7)) & 1u;
 }
 
 void ConfigPort::setCbFieldBit(CbCoord cb, CbField field, bool value) {

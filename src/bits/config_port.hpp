@@ -191,8 +191,6 @@ class ConfigPort {
     sync();
     inTransaction_ = false;
   }
-  /// Alias for callers that think in commit/rollback terms.
-  void commit() { endSession(); }
 
   /// Abandon the current frame transaction WITHOUT flushing dirty frames.
   /// Error-recovery only: after a LinkError mid-session the shadow may hold
@@ -221,8 +219,9 @@ class ConfigPort {
   /// (direct Device::setLogicBit writes, external bitstream loads).
   void invalidate();
 
-  /// sync() + Device::settle(): every configuration change made through the
-  /// port is guaranteed visible to the emulated fabric afterwards.
+  /// sync() + Device::settle(): evaluate the fabric now, for an injector
+  /// that asserts InvertLSRMux and releases it before the next read or edge.
+  /// Anything else needs only sync() before the device is stepped.
   void settle() {
     sync();
     dev_.settle();
@@ -257,7 +256,6 @@ class ConfigPort {
   /// Set or clear an arbitrary plane-A configuration bit (used by routing
   /// faults to toggle individual pass transistors).
   void setLogicBit(std::size_t addr, bool value);
-  bool getLogicBit(std::size_t addr);
   /// Batched plane-A bit update: one read-modify-write PER TOUCHED FRAME,
   /// the way a real tool coalesces JBits updates. Returns frames written.
   unsigned setLogicBits(

@@ -77,18 +77,27 @@ void BitVector::importBytes(std::size_t bitOff, std::size_t n,
   }
 }
 
+// A slice of at most 64 bits spans at most two storage words: `shift` bits
+// into word w, and the top (shift + n - 64) bits of the slice in word w + 1.
 std::uint64_t BitVector::getWord(std::size_t bitOff, unsigned n) const {
   assert(n <= 64 && bitOff + n <= bitCount_);
-  std::uint64_t v = 0;
-  for (unsigned k = 0; k < n; ++k) {
-    v |= static_cast<std::uint64_t>(get(bitOff + k)) << k;
-  }
-  return v;
+  if (n == 0) return 0;
+  const std::size_t w = bitOff >> 6;
+  const unsigned shift = bitOff & 63;
+  std::uint64_t v = words_[w] >> shift;
+  if (shift + n > 64) v |= words_[w + 1] << (64 - shift);
+  return n == 64 ? v : v & ((1ULL << n) - 1);
 }
 
 void BitVector::setWord(std::size_t bitOff, unsigned n, std::uint64_t value) {
   assert(n <= 64 && bitOff + n <= bitCount_);
-  for (unsigned k = 0; k < n; ++k) set(bitOff + k, (value >> k) & 1ULL);
+  if (n == 0) return;
+  const std::size_t w = bitOff >> 6;
+  const unsigned shift = bitOff & 63;
+  const std::uint64_t flip =
+      getWord(bitOff, n) ^ (n == 64 ? value : value & ((1ULL << n) - 1));
+  words_[w] ^= flip << shift;
+  if (shift + n > 64) words_[w + 1] ^= flip >> (64 - shift);
 }
 
 std::vector<std::size_t> BitVector::diff(const BitVector& other) const {

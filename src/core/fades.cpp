@@ -323,7 +323,6 @@ void FadesTool::gsrFlip(std::span<const std::uint32_t> flops) {
   port_.pulseGsr();
   port_.setLogicBitsBlind(restoreBits);
   port_.endSession();
-  dev_.settle();
 }
 
 std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
@@ -377,6 +376,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           const std::pair<CbField, bool> set[] = {{CbField::SrMode, !state},
                                                   {CbField::InvLsr, true}};
           port_.updateCbFields(fault.cb, set);
+          // Evaluate now: the LSR is released before the next read or edge.
           port_.settle();
           // Deassert the LSR and put SrMode back in one pass.
           const std::pair<CbField, bool> clr[] = {
@@ -413,7 +413,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         const unsigned line =
             static_cast<unsigned>(rng.below(circuit.candidateLineCount()));
         port_.setLutTable(fault.cb, circuit.tableWithFaultedLine(line));
-        port_.settle();
+        port_.sync();
         fault.needsRemoval = true;
       } else {
         // CB input through its inverter multiplexer (Figure 6).
@@ -421,7 +421,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         port_.beginSession();
         const std::pair<CbField, bool> set[] = {{CbField::InvByp, true}};
         port_.updateCbFields(fault.cb, set);
-        port_.settle();
+        port_.sync();
         fault.needsRemoval = true;
       }
       (void)durationCycles;
@@ -581,7 +581,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
                                                           changes.end());
         port_.setLogicBits(updates);
       }
-      port_.settle();
+      port_.sync();
       for (const auto& [bit, v] : changes) {
         fault.restoreBits.emplace_back(bit, !v);
       }
@@ -598,6 +598,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         const std::pair<CbField, bool> set[] = {
             {CbField::SrMode, fault.indetValue}, {CbField::InvLsr, true}};
         port_.updateCbFieldsBlind(fault.cb, set);
+        // Evaluate now: a window with no edge releases the LSR unread.
         port_.settle();
         fault.needsRemoval = true;
       } else {
@@ -606,7 +607,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         port_.beginSession();
         port_.setLutTableBlind(
             fault.cb, static_cast<std::uint16_t>(rng.below(0x10000)));
-        port_.settle();
+        port_.sync();
         fault.needsRemoval = true;
       }
       break;
@@ -626,7 +627,7 @@ void FadesTool::oscillate(ActiveFault& fault, Rng& rng) {
     port_.setLutTableBlind(fault.cb,
                            static_cast<std::uint16_t>(rng.below(0x10000)));
   }
-  port_.settle();
+  port_.sync();
 }
 
 void FadesTool::remove(ActiveFault& fault) {
@@ -679,7 +680,6 @@ void FadesTool::remove(ActiveFault& fault) {
       break;  // persists until rewritten
   }
   port_.endSession();
-  dev_.settle();
   fault.needsRemoval = false;
 }
 
@@ -702,7 +702,6 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
   if (model == FaultModel::Delay &&
       opt_.delayVia != DelayVia::ShiftRegister && !dev_.timingEnabled()) {
     dev_.setTimingEnabled(true);
-    dev_.settle();
     require(dev_.timingReport().lateFfCount == 0, ErrorKind::ConfigError,
             "fault-free design misses timing; increase clockPeriodNs");
   }
@@ -946,7 +945,6 @@ fpga::DeviceSpec delayCalibratedSpec(const synth::Implementation& impl) {
   fpga::Device probe(impl.spec);
   probe.writeFullBitstream(impl.bitstream);
   probe.setTimingEnabled(true);
-  probe.settle();
   fpga::DeviceSpec spec = impl.spec;
   spec.clockPeriodNs =
       probe.timingReport().maxArrivalNs + spec.ffSetupNs + 0.35;
@@ -1017,11 +1015,9 @@ std::vector<RegisterEffect> FadesTool::multiBitFlipProbe(
   const CbCoord cb = impl_.luts[lutIndex].cb;
   const std::uint16_t original = impl_.luts[lutIndex].table;
   port_.setLutTable(cb, ExtractedCircuit::tableWithInvertedOutput(original));
-  dev_.settle();
   dev_.step();
   const auto faultyRegs = registerValues();
   port_.setLutTable(cb, original);
-  dev_.settle();
 
   std::vector<RegisterEffect> out;
   for (const auto& [name, gv] : goldenRegs) {

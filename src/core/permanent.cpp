@@ -153,6 +153,7 @@ Outcome PermanentFaults::runExperiment(std::uint32_t target, Rng& rng,
   }
   port.endSession();  // land the defect before evaluating the fabric
   try {
+    // Evaluate now, so a defect that closes a loop throws inside this try.
     dev.settle();
   } catch (const common::FadesError&) {
     // The defect created combinational feedback (a bridge can close a loop
@@ -161,7 +162,6 @@ Outcome PermanentFaults::runExperiment(std::uint32_t target, Rng& rng,
     if (isLutStuck) port.setLutTableBlind(lutCb, originalTable);
     if (!restoreBits.empty()) port.setLogicBitsBlind(restoreBits);
     if (usedShortPolicy) dev.setShortPolicy(fpga::ShortPolicy::Error);
-    dev.settle();
     common::raise(ErrorKind::InjectionError,
                   "defect creates combinational feedback");
   }
@@ -192,7 +192,6 @@ Outcome PermanentFaults::runExperiment(std::uint32_t target, Rng& rng,
   if (!restoreBits.empty()) port.setLogicBitsBlind(restoreBits);
   port.endSession();
   if (usedShortPolicy) dev.setShortPolicy(fpga::ShortPolicy::Error);
-  dev.settle();
 
   if (modeledSeconds != nullptr) {
     *modeledSeconds =

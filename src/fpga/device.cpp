@@ -32,6 +32,7 @@ Device::Device(const DeviceSpec& spec)
 void Device::setLogicBit(std::size_t addr, bool v) {
   if (logicCfg_.get(addr) == v) return;
   logicCfg_.set(addr, v);
+  stale_ = true;
   const auto d = layout_.decode(addr);
   if (d.region == ConfigLayout::Decoded::Region::Cb && d.bitInRecord < 16) {
     lutDirty_ = true;
@@ -115,18 +116,18 @@ void Device::writeBramFrame(unsigned block, unsigned minor,
   bramCfg_.importBytes(first, n, bytes);
 }
 
-std::vector<std::uint8_t> Device::readCaptureFrame(unsigned col) const {
+std::vector<std::uint8_t> Device::readCaptureFrame(unsigned col) {
   std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
   readCaptureFrameInto(col, bytes);
   return bytes;
 }
 
-void Device::readCaptureFrameInto(unsigned col,
-                                  std::span<std::uint8_t> out) const {
+void Device::readCaptureFrameInto(unsigned col, std::span<std::uint8_t> out) {
   require(col < spec_.cols, ErrorKind::ConfigError,
           "bad capture frame column");
   require(out.size() >= spec_.frameBytes, ErrorKind::ConfigError,
           "short capture frame buffer");
+  settle();
   std::fill(out.begin(), out.begin() + spec_.frameBytes, 0);
   for (unsigned y = 0; y < spec_.rows; ++y) {
     if (ffState_[cbIndex(CbCoord{static_cast<std::uint16_t>(col),
@@ -143,13 +144,11 @@ void Device::writeFullBitstream(const Bitstream& bs) {
   logicCfg_ = bs.logic;
   bramCfg_ = bs.bram;
   topoDirty_ = true;
-  ensureCompiled();
   // Configuration asserts GSR: every FF starts at its SrMode value, memory
   // output latches clear.
-  for (const auto& ff : compiled_.ffs) ffState_[ff.cbIdx] = ff.srMode ? 1 : 0;
+  pulseGsr();
   std::fill(bramLatch_.begin(), bramLatch_.end(), 0);
   cycle_ = 0;
-  settle();
 }
 
 Bitstream Device::readbackBitstream() const {
@@ -163,7 +162,7 @@ void Device::pulseGsr() {
   // mechanism relies on when pulsing the line in the middle of a run.
   ensureCompiled();
   for (const auto& ff : compiled_.ffs) ffState_[ff.cbIdx] = ff.srMode ? 1 : 0;
-  settle();
+  stale_ = true;
 }
 
 BitMeaning Device::decodeLogicBit(std::size_t addr) const {
@@ -595,18 +594,24 @@ void Device::runSteps() {
 }
 
 void Device::settle() {
+  // Compiling first also brings the timing model's late flags up to date
+  // when only setTimingEnabled changed, which needs no evaluation.
   ensureCompiled();
+  if (!stale_) return;
   refreshLevel0();
   runSteps();
+  stale_ = false;
 }
 
 void Device::setPadInput(unsigned pad, bool v) {
   require(pad < spec_.padCount(), ErrorKind::InvalidArgument,
           "pad index out of range");
   padInput_[pad] = v ? 1 : 0;
+  stale_ = true;
 }
 
-bool Device::padValue(unsigned pad) const {
+bool Device::padValue(unsigned pad) {
+  settle();
   for (const auto& e : compiled_.padOuts) {
     if (e.pad == pad) return values_[e.src] != 0;
   }
@@ -646,14 +651,8 @@ void Device::step() {
     for (unsigned a = 0; a < e.addrBits; ++a) {
       addr |= static_cast<std::size_t>(values_[e.addrSrc[a]]) << a;
     }
-    const std::size_t base = addr * e.width;
-    std::uint32_t rd = 0;
-    for (unsigned b = 0; b < e.width; ++b) {
-      rd |= static_cast<std::uint32_t>(
-                bramCfg_.get(layout_.bramContentBit(e.block, base + b)))
-            << b;
-    }
-    ops[i].read = rd;
+    ops[i].read =
+        static_cast<std::uint32_t>(bramWord(e.block, e.width, addr));
     if (values_[e.weSrc]) {
       ops[i].write = true;
       ops[i].row = addr;
@@ -678,31 +677,26 @@ void Device::step() {
     const BramEntry& e = compiled_.brams[i];
     bramLatch_[e.block] = ops[i].read;
     if (ops[i].write) {
-      const std::size_t base = ops[i].row * e.width;
-      for (unsigned b = 0; b < e.width; ++b) {
-        bramCfg_.set(layout_.bramContentBit(e.block, base + b),
-                     (ops[i].wval >> b) & 1u);
-      }
+      bramCfg_.setWord(
+          layout_.bramContentBit(e.block, 0) + ops[i].row * e.width, e.width,
+          ops[i].wval);
     }
   }
 
   ++cycle_;
-  refreshLevel0();
-  runSteps();
+  stale_ = true;  // the edge moved FF state and read latches
+  settle();
 }
 
 std::uint64_t Device::bramWord(unsigned block, unsigned width,
                                std::size_t row) const {
-  std::uint64_t v = 0;
-  for (unsigned b = 0; b < width; ++b) {
-    v |= static_cast<std::uint64_t>(
-             bramCfg_.get(layout_.bramContentBit(block, row * width + b)))
-         << b;
-  }
-  return v;
+  // A memory block's content bits are contiguous in plane B.
+  return bramCfg_.getWord(layout_.bramContentBit(block, 0) + row * width,
+                          width);
 }
 
-DeviceState Device::captureState() const {
+DeviceState Device::captureState() {
+  settle();
   DeviceState s;
   s.ffState = ffState_;
   s.bramContent = bramCfg_;
@@ -712,7 +706,8 @@ DeviceState Device::captureState() const {
   return s;
 }
 
-bool Device::matchesState(const DeviceState& s) const {
+bool Device::matchesState(const DeviceState& s) {
+  settle();
   return cycle_ == s.cycle && ffState_ == s.ffState &&
          bramLatch_ == s.bramLatch && padInput_ == s.padInput &&
          bramCfg_ == s.bramContent;
@@ -727,7 +722,7 @@ void Device::restoreState(const DeviceState& s) {
   bramLatch_ = s.bramLatch;
   padInput_ = s.padInput;
   cycle_ = s.cycle;
-  settle();
+  stale_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -740,11 +735,7 @@ void Device::setTimingEnabled(bool on) {
 }
 
 const TimingReport& Device::timingReport() {
-  ensureCompiled();
-  if (timingDirty_ && timingEnabled_) {
-    computeTiming();
-    timingDirty_ = false;
-  }
+  ensureCompiled();  // times the configuration too when timing is enabled
   return timingReport_;
 }
 

@@ -19,6 +19,12 @@
 //    exceeds the clock period captures the previous cycle's value, which is
 //    how emulated delay faults (Section 4.3) manifest as errors.
 //
+// The device evaluates itself, as the real fabric reacts to a configuration
+// write: every input to evaluation marks the fabric stale, and every reader
+// of fabric values or FF state evaluates it first. Callers call settle()
+// only where the instant matters: an asserted InvertLSRMux forces its FF
+// when the fabric is evaluated (DESIGN.md, "The device evaluates itself").
+//
 // The device deliberately exposes NO netlist-level structure: everything is
 // derived from configuration bits, so the fault injectors are forced to work
 // the way the paper's tool works - through reconfiguration.
@@ -98,6 +104,7 @@ class Device {
   bool logicBit(std::size_t addr) const { return logicCfg_.get(addr); }
   void setLogicBit(std::size_t addr, bool v);
   bool bramBit(std::size_t addr) const { return bramCfg_.get(addr); }
+  // Memory contents are read only at the clock edge: not an evaluation input.
   void setBramBit(std::size_t addr, bool v) { bramCfg_.set(addr, v); }
 
   std::vector<std::uint8_t> readLogicFrame(FrameAddr f) const;
@@ -106,7 +113,7 @@ class Device {
   void writeBramFrame(unsigned block, unsigned minor,
                       std::span<const std::uint8_t> bytes);
   /// Capture plane: live FF state of one CB column (read-only).
-  std::vector<std::uint8_t> readCaptureFrame(unsigned col) const;
+  std::vector<std::uint8_t> readCaptureFrame(unsigned col);
 
   // Allocation-free frame reads: fill exactly spec().frameBytes bytes of
   // `out` (frame payload, zero-padded). The vector overloads above wrap
@@ -115,7 +122,7 @@ class Device {
   void readLogicFrameInto(FrameAddr f, std::span<std::uint8_t> out) const;
   void readBramFrameInto(unsigned block, unsigned minor,
                          std::span<std::uint8_t> out) const;
-  void readCaptureFrameInto(unsigned col, std::span<std::uint8_t> out) const;
+  void readCaptureFrameInto(unsigned col, std::span<std::uint8_t> out);
 
   void writeFullBitstream(const Bitstream& bs);
   Bitstream readbackBitstream() const;
@@ -127,23 +134,24 @@ class Device {
 
   // --- execution -------------------------------------------------------------
   void setPadInput(unsigned pad, bool v);
-  bool padValue(unsigned pad) const;  // settled value seen at an output pad
-  /// Propagate combinational logic (also recompiles if configuration
-  /// changed since the last evaluation).
+  bool padValue(unsigned pad);  // settled value seen at an output pad
+  /// Recompile any configuration change, then propagate combinational logic
+  /// if anything changed since the last evaluation. Raises ConfigError on a
+  /// combinational loop or (ShortPolicy::Error) a shorted net.
   void settle();
-  /// One positive clock edge, then settle.
+  /// One positive clock edge, then evaluate.
   void step();
   std::uint64_t cycle() const { return cycle_; }
 
-  bool ffState(CbCoord cb) const { return ffState_[cbIndex(cb)] != 0; }
+  bool ffState(CbCoord cb) { settle(); return ffState_[cbIndex(cb)] != 0; }
   /// Raw memory-block word as currently stored (row-major at given width).
   std::uint64_t bramWord(unsigned block, unsigned width, std::size_t row) const;
 
-  DeviceState captureState() const;
+  DeviceState captureState();
   void restoreState(const DeviceState& s);
   /// True when the dynamic state equals `s` (cycle, FF states, memory
   /// contents, read latches, pad stimuli); compares in place, no copy.
-  bool matchesState(const DeviceState& s) const;
+  bool matchesState(const DeviceState& s);
   /// The logic configuration plane (plane A) as currently loaded.
   const common::BitVector& logicPlane() const { return logicCfg_; }
 
@@ -154,7 +162,7 @@ class Device {
 
   void setShortPolicy(ShortPolicy p) {
     shortPolicy_ = p;
-    topoDirty_ = true;
+    topoDirty_ = stale_ = true;
   }
 
   // --- introspection (tests / diagnostics) ----------------------------------
@@ -265,6 +273,9 @@ class Device {
   bool lutDirty_ = false;
   bool timingDirty_ = true;
   bool timingEnabled_ = false;
+  // Values (and LSR-forced FF state) may not reflect the configuration and
+  // dynamic state: set by every input to evaluation, cleared by settle().
+  bool stale_ = true;
   ShortPolicy shortPolicy_ = ShortPolicy::Error;
   TimingReport timingReport_;
 

@@ -544,11 +544,8 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
             (widthSel >> b) & 1u);
       }
       for (std::size_t row = 0; row < r.depth(); ++row) {
-        const std::uint64_t word = r.initWord(row);
-        for (unsigned b = 0; b < sl.width; ++b) {
-          bs.bram.set(layout.bramContentBit(sl.block, row * sl.width + b),
-                      (word >> (sl.bitLo + b)) & 1u);
-        }
+        bs.bram.setWord(layout.bramContentBit(sl.block, 0) + row * sl.width,
+                        sl.width, r.initWord(row) >> sl.bitLo);
       }
     }
   }

@@ -140,7 +140,6 @@ class EmulatedSystem {
   void setInput(const std::string& port, std::uint64_t value);
   std::uint64_t portValue(const std::string& port) const;
   void step() { dev_.step(); }
-  void settle() { dev_.settle(); }
   std::uint64_t cycle() const { return dev_.cycle(); }
 
   fpga::Device& device() { return dev_; }

@@ -135,6 +135,28 @@ TEST(BitVector, WordAccessAcrossWordBoundary) {
   bv.setWord(60, 10, 0x3FF);
   EXPECT_EQ(bv.getWord(60, 10), 0x3FFu);
   EXPECT_EQ(bv.popcount(), 10u);
+
+  // Widths up to 64 at offsets inside, at and across a storage-word
+  // boundary, against a per-bit reference; bits outside the slice and
+  // value bits above n stay untouched.
+  Rng rng(21);
+  for (std::size_t off : {0u, 1u, 37u, 63u, 64u, 65u, 100u, 127u, 136u}) {
+    for (unsigned n : {0u, 1u, 7u, 16u, 33u, 63u, 64u}) {
+      BitVector words(256), ref(256);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        const bool v = rng.coin();
+        words.set(i, v);
+        ref.set(i, v);
+      }
+      const std::uint64_t value = rng();
+      words.setWord(off, n, value);
+      for (unsigned k = 0; k < n; ++k) ref.set(off + k, (value >> k) & 1u);
+      EXPECT_EQ(words, ref) << "off " << off << " n " << n;
+      const std::uint64_t mask = n == 64 ? ~0ULL : (1ULL << n) - 1;
+      EXPECT_EQ(words.getWord(off, n), value & mask)
+          << "off " << off << " n " << n;
+    }
+  }
 }
 
 TEST(BitVector, ByteExportImportRoundTrip) {

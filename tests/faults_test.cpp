@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
@@ -558,6 +559,47 @@ TEST(Permanent, CampaignResultsPinned) {
     EXPECT_NEAR(r.cost.totalSeconds(), r.modeledSeconds.sum(), 1e-9);
     EXPECT_GT(r.cost.sessions, 0u);
   }
+}
+
+/// Outcome letter per flop target, then the device's final flop states as
+/// a bit string, for one experiment of `model` at cycle 20 on each flop.
+std::string flopOutcomesAndFinalStates(FaultModel model, double duration) {
+  const auto& d = MiniDesign::instance();
+  FadesRig rig;
+  std::string outcomes, states;
+  for (std::uint32_t t = 0; t < d.impl.flops.size(); ++t) {
+    Rng rng(t + 1);
+    const auto o = rig.tool->runExperiment(model, TargetClass::SequentialFF, t,
+                                           20, duration, rng);
+    outcomes += campaign::toString(o)[0];
+    for (const auto& f : d.impl.flops) {
+      states += rig.device->ffState(f.cb) ? '1' : '0';
+    }
+    states += ' ';
+  }
+  return outcomes + " | " + states;
+}
+
+TEST(Fades, LsrBitFlipFlipsTheFlop) {
+  // The LSR path asserts and releases the local set/reset within one
+  // session; the evaluation in between is what flips the flop. Without it
+  // every experiment would replay the golden run (all silent).
+  EXPECT_EQ(flopOutcomesAndFinalStates(FaultModel::BitFlip, 1.0),
+            "ffffffffffff | 010011101010 001011101010 000111101010 "
+            "100001101010 100010101010 100011001010 000011111010 "
+            "100011101010 000011100110 000011101110 000011101000 "
+            "000011101011 ");
+}
+
+TEST(Fades, SubCycleIndeterminationLeavesTheFlopAtTheDrawnLevel) {
+  // Duration 0: the window catches no clock edge, so remove() releases the
+  // LSR right after inject() asserted it. The flop must still end at the
+  // drawn level (a failure whenever that level differs from its state).
+  EXPECT_EQ(flopOutcomesAndFinalStates(FaultModel::Indetermination, 0.0),
+            "fffsssssssff | 010011101010 001011101010 000111101010 "
+            "100110100000 100110100000 100110100000 100110100000 "
+            "100110100000 100110100000 100110100000 000011101000 "
+            "000011101011 ");
 }
 
 TEST(Fades, IndeterminationForcesValueForWholeDuration) {

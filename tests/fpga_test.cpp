@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "bits/config_port.hpp"
 #include "common/error.hpp"
 #include "fpga/device.hpp"
 #include "fpga/layout.hpp"
@@ -486,6 +487,37 @@ TEST(Device, StateCaptureRestoreReplays) {
   dev.restoreState(st);
   EXPECT_EQ(dev.cycle(), 1u);
   EXPECT_TRUE(dev.padValue(2));
+  EXPECT_TRUE(dev.ffState(CbCoord{2, 2}));
+}
+
+// ------------------------------------------------ on-demand evaluation -----
+// The device evaluates itself: each read below follows its input directly,
+// with no settle() in between, and must see the new value
+// (Device.StateCaptureRestoreReplays does the same after restoreState).
+
+TEST(Device, EvaluatesOnDemandAfterCachedPortLutRewrite) {
+  Device dev(DeviceSpec::small());
+  configureInverter(dev);
+  dev.setPadInput(0, true);
+  dev.settle();
+  EXPECT_FALSE(dev.padValue(1));
+  bits::ConfigPort port(dev);
+  port.setCacheEnabled(true);
+  port.beginSession();
+  port.setLutTable(CbCoord{1, 1}, 0xAAAA);  // buffer: out = i0
+  port.sync();
+  EXPECT_TRUE(dev.padValue(1));
+  port.endSession();
+}
+
+TEST(Device, EvaluatesOnDemandAfterPadInput) {
+  Device dev(DeviceSpec::small());
+  configureInverter(dev);
+  dev.setPadInput(0, false);
+  dev.settle();
+  EXPECT_TRUE(dev.padValue(1));
+  dev.setPadInput(0, true);
+  EXPECT_FALSE(dev.padValue(1));
 }
 
 // -------------------------------------------------------------- timing -----
