@@ -25,13 +25,20 @@ int main(int argc, char** argv) {
   sys.printHeadline();
   using Clock = std::chrono::steady_clock;
 
-  // RTR: the original implementation (already built by System8051).
-  const auto& rtrImpl = sys.implementation();
+  const auto& nl = sys.netlist();
+
+  // RTR: one implementation of the original core serves every fault. It is
+  // the same implementation System8051 holds, implemented again here so the
+  // table reports its host time.
+  const auto r0 = Clock::now();
+  const auto rtrImpl =
+      synth::implement(nl, fpga::DeviceSpec::virtex1000Like());
+  const double rtrImplementSeconds =
+      std::chrono::duration<double>(Clock::now() - r0).count();
 
   // CTR: instrument a batch of combinational signals with saboteurs and
   // re-implement. One batch = one target-set; a full campaign over all
   // signal groups needs ceil(S / batch) implementations.
-  const auto& nl = sys.netlist();
   std::vector<netlist::NetId> signals;
   for (const auto& g : nl.gates()) {
     if (!nl.netName(g.out).empty() &&
@@ -83,7 +90,7 @@ int main(int argc, char** argv) {
         unroutable.empty() ? common::fixed(ctrImplementSeconds, 2) + " x " +
                                  std::to_string(implementationsNeeded)
                            : unroutable + common::fixed(ctrImplementSeconds, 2),
-        common::fixed(ctrImplementSeconds, 2) + " x 1"},
+        common::fixed(rtrImplementSeconds, 2) + " x 1"},
        {"per-fault injection", "drive sab_enable/sab_select (fast)",
         "partial reconfiguration (~0.2-0.9 s modeled)"}});
 

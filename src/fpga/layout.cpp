@@ -1,7 +1,6 @@
 #include "fpga/layout.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/error.hpp"
 
@@ -9,12 +8,6 @@ namespace fades::fpga {
 
 using common::ErrorKind;
 using common::require;
-
-namespace {
-constexpr unsigned kCbHeaderBits = 24;  // LUT table + multiplexer fields
-constexpr unsigned kPadHeaderBits = 8;
-constexpr unsigned kBramHeaderBits = 8;
-}  // namespace
 
 ConfigLayout::ConfigLayout(const DeviceSpec& spec) : spec_(spec) {
   require(spec.rows >= 2 && spec.cols >= 2, ErrorKind::InvalidArgument,
@@ -61,72 +54,6 @@ std::size_t ConfigLayout::totalConfigFrames() const {
   for (unsigned c = 0; c <= spec_.cols; ++c) n += minorsOfColumn(c);
   n += std::size_t{spec_.memBlocks} * bramFramesPerBlock();
   return n;
-}
-
-std::size_t ConfigLayout::cbBit(CbCoord cb, unsigned bitInRecord) const {
-  assert(cb.x < spec_.cols && cb.y < spec_.rows);
-  assert(bitInRecord < cbRecordBits_);
-  return columnStart(cb.x) + std::size_t{cb.y} * cbRecordBits_ + bitInRecord;
-}
-
-std::size_t ConfigLayout::cbInConnBit(CbCoord cb, CbInPin pin, bool vertical,
-                                      unsigned track) const {
-  assert(track < spec_.tracks);
-  const unsigned p = static_cast<unsigned>(pin);
-  const unsigned off = kCbHeaderBits + (vertical ? kCbInPins * spec_.tracks : 0) +
-                       p * spec_.tracks + track;
-  return cbBit(cb, off);
-}
-
-std::size_t ConfigLayout::cbOutConnBit(CbCoord cb, CbOutPin pin, bool vertical,
-                                       unsigned track) const {
-  assert(track < spec_.tracks);
-  const unsigned p = static_cast<unsigned>(pin);
-  const unsigned off = kCbHeaderBits + 2 * kCbInPins * spec_.tracks +
-                       (vertical ? kCbOutPins * spec_.tracks : 0) +
-                       p * spec_.tracks + track;
-  return cbBit(cb, off);
-}
-
-std::size_t ConfigLayout::pmSwitchBit(PmCoord pm, unsigned track,
-                                      PmSwitch sw) const {
-  assert(pm.x <= spec_.cols && pm.y <= spec_.rows && track < spec_.tracks);
-  const std::size_t base =
-      columnStart(pm.x) +
-      (pm.x < spec_.cols ? std::size_t{spec_.rows} * cbRecordBits_ : 0);
-  return base + std::size_t{pm.y} * pmRecordBits_ + track * kPmSwitches +
-         static_cast<unsigned>(sw);
-}
-
-std::size_t ConfigLayout::padFieldBit(unsigned pad, PadField f) const {
-  assert(pad < spec_.padCount());
-  const unsigned col = padIsWest(pad) ? 0 : spec_.cols;
-  std::size_t base = columnStart(col) + std::size_t{spec_.rows + 1} * pmRecordBits_;
-  if (col < spec_.cols) base += std::size_t{spec_.rows} * cbRecordBits_;
-  return base + std::size_t{padRow(pad)} * padRecordBits_ +
-         static_cast<unsigned>(f);
-}
-
-std::size_t ConfigLayout::padConnBit(unsigned pad, bool vertical,
-                                     unsigned track) const {
-  assert(track < spec_.tracks);
-  return padFieldBit(pad, PadField::IsOutput) + kPadHeaderBits +
-         (vertical ? spec_.tracks : 0) + track;
-}
-
-std::size_t ConfigLayout::bramFieldBit(unsigned block, BramField f) const {
-  assert(block < spec_.memBlocks);
-  const std::size_t base = columnStart(spec_.cols) +
-                           std::size_t{spec_.rows + 1} * pmRecordBits_ +
-                           std::size_t{spec_.rows} * padRecordBits_;
-  return base + std::size_t{block} * bramRecordBits_ + static_cast<unsigned>(f);
-}
-
-std::size_t ConfigLayout::bramPinConnBit(unsigned block, unsigned pin,
-                                         bool vertical, unsigned track) const {
-  assert(pin < DeviceSpec::kBramPins && track < spec_.tracks);
-  return bramFieldBit(block, static_cast<BramField>(0)) + kBramHeaderBits +
-         pin * 2 * spec_.tracks + (vertical ? spec_.tracks : 0) + track;
 }
 
 ConfigLayout::Decoded ConfigLayout::decode(std::size_t bit) const {
@@ -216,78 +143,6 @@ RoutingNodes::RoutingNodes(const DeviceSpec& spec) : spec_(spec) {
   padBase_ = cbOutBase_ + spec.cbCount() * kCbOutPins;
   bramBase_ = padBase_ + spec.padCount();
   total_ = bramBase_ + spec.memBlocks * DeviceSpec::kBramPins;
-}
-
-std::uint32_t RoutingNodes::hseg(unsigned x, unsigned y, unsigned t) const {
-  assert(x < spec_.cols && y <= spec_.rows && t < spec_.tracks);
-  return hsegBase_ + (x * (spec_.rows + 1) + y) * spec_.tracks + t;
-}
-
-std::uint32_t RoutingNodes::vseg(unsigned x, unsigned y, unsigned t) const {
-  assert(x <= spec_.cols && y < spec_.rows && t < spec_.tracks);
-  return vsegBase_ + (x * spec_.rows + y) * spec_.tracks + t;
-}
-
-std::uint32_t RoutingNodes::cbIn(CbCoord cb, CbInPin pin) const {
-  return cbInBase_ + (cb.x * spec_.rows + cb.y) * kCbInPins +
-         static_cast<unsigned>(pin);
-}
-
-std::uint32_t RoutingNodes::cbOut(CbCoord cb, CbOutPin pin) const {
-  return cbOutBase_ + (cb.x * spec_.rows + cb.y) * kCbOutPins +
-         static_cast<unsigned>(pin);
-}
-
-std::uint32_t RoutingNodes::pad(unsigned p) const {
-  assert(p < spec_.padCount());
-  return padBase_ + p;
-}
-
-std::uint32_t RoutingNodes::bramPin(unsigned block, unsigned pin) const {
-  assert(block < spec_.memBlocks && pin < DeviceSpec::kBramPins);
-  return bramBase_ + block * DeviceSpec::kBramPins + pin;
-}
-
-NodeInfo RoutingNodes::info(std::uint32_t node) const {
-  NodeInfo n{};
-  if (node < vsegBase_) {
-    n.kind = NodeKind::HSeg;
-    const std::uint32_t rel = node - hsegBase_;
-    n.track = rel % spec_.tracks;
-    const std::uint32_t xy = rel / spec_.tracks;
-    n.x = xy / (spec_.rows + 1);
-    n.y = xy % (spec_.rows + 1);
-  } else if (node < cbInBase_) {
-    n.kind = NodeKind::VSeg;
-    const std::uint32_t rel = node - vsegBase_;
-    n.track = rel % spec_.tracks;
-    const std::uint32_t xy = rel / spec_.tracks;
-    n.x = xy / spec_.rows;
-    n.y = xy % spec_.rows;
-  } else if (node < cbOutBase_) {
-    n.kind = NodeKind::CbIn;
-    const std::uint32_t rel = node - cbInBase_;
-    n.track = rel % kCbInPins;
-    const std::uint32_t xy = rel / kCbInPins;
-    n.x = xy / spec_.rows;
-    n.y = xy % spec_.rows;
-  } else if (node < padBase_) {
-    n.kind = NodeKind::CbOut;
-    const std::uint32_t rel = node - cbOutBase_;
-    n.track = rel % kCbOutPins;
-    const std::uint32_t xy = rel / kCbOutPins;
-    n.x = xy / spec_.rows;
-    n.y = xy % spec_.rows;
-  } else if (node < bramBase_) {
-    n.kind = NodeKind::Pad;
-    n.x = node - padBase_;
-  } else {
-    n.kind = NodeKind::BramPin;
-    const std::uint32_t rel = node - bramBase_;
-    n.x = rel / DeviceSpec::kBramPins;
-    n.track = rel % DeviceSpec::kBramPins;
-  }
-  return n;
 }
 
 void RoutingNodes::position(std::uint32_t node, double& x, double& y) const {

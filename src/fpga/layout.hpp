@@ -9,12 +9,18 @@
 // in terms of these addresses, exactly as the paper's tool drives JBits.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "fpga/spec.hpp"
 
 namespace fades::fpga {
+
+/// Header bits at the start of each record, ahead of its transistor bits.
+inline constexpr unsigned kCbHeaderBits = 24;  // LUT table + multiplexer fields
+inline constexpr unsigned kPadHeaderBits = 8;
+inline constexpr unsigned kBramHeaderBits = 8;
 
 /// Non-content CB configuration fields (bit offsets inside a CB record).
 enum class CbField : std::uint8_t {
@@ -187,6 +193,10 @@ class RoutingNodes {
 
   NodeInfo info(std::uint32_t node) const;
 
+  /// True for CB, pad and memory-block pins, false for wire segments. Nodes
+  /// are numbered in NodeKind order, so every pin id follows every segment.
+  bool isPin(std::uint32_t node) const { return node >= cbInBase_; }
+
   /// Approximate (x, y) tile position, used by the router's A* heuristic.
   void position(std::uint32_t node, double& x, double& y) const;
 
@@ -195,5 +205,160 @@ class RoutingNodes {
   std::uint32_t hsegBase_, vsegBase_, cbInBase_, cbOutBase_, padBase_,
       bramBase_, total_;
 };
+
+// ---------------------------------------------------------------------------
+// Inline accessors. The router enumerates neighbours through these about
+// a hundred million times per MC8051 implementation; defined here, the
+// compiler drops the configuration-bit arithmetic a caller ignores.
+// ---------------------------------------------------------------------------
+
+inline std::size_t ConfigLayout::cbBit(CbCoord cb,
+                                       unsigned bitInRecord) const {
+  assert(cb.x < spec_.cols && cb.y < spec_.rows);
+  assert(bitInRecord < cbRecordBits_);
+  return columnStart(cb.x) + std::size_t{cb.y} * cbRecordBits_ + bitInRecord;
+}
+
+inline std::size_t ConfigLayout::cbInConnBit(CbCoord cb, CbInPin pin,
+                                             bool vertical,
+                                             unsigned track) const {
+  assert(track < spec_.tracks);
+  const unsigned p = static_cast<unsigned>(pin);
+  const unsigned off = kCbHeaderBits +
+                       (vertical ? kCbInPins * spec_.tracks : 0) +
+                       p * spec_.tracks + track;
+  return cbBit(cb, off);
+}
+
+inline std::size_t ConfigLayout::cbOutConnBit(CbCoord cb, CbOutPin pin,
+                                              bool vertical,
+                                              unsigned track) const {
+  assert(track < spec_.tracks);
+  const unsigned p = static_cast<unsigned>(pin);
+  const unsigned off = kCbHeaderBits + 2 * kCbInPins * spec_.tracks +
+                       (vertical ? kCbOutPins * spec_.tracks : 0) +
+                       p * spec_.tracks + track;
+  return cbBit(cb, off);
+}
+
+inline std::size_t ConfigLayout::pmSwitchBit(PmCoord pm, unsigned track,
+                                             PmSwitch sw) const {
+  assert(pm.x <= spec_.cols && pm.y <= spec_.rows && track < spec_.tracks);
+  const std::size_t base =
+      columnStart(pm.x) +
+      (pm.x < spec_.cols ? std::size_t{spec_.rows} * cbRecordBits_ : 0);
+  return base + std::size_t{pm.y} * pmRecordBits_ + track * kPmSwitches +
+         static_cast<unsigned>(sw);
+}
+
+inline std::size_t ConfigLayout::padFieldBit(unsigned pad, PadField f) const {
+  assert(pad < spec_.padCount());
+  const unsigned col = padIsWest(pad) ? 0 : spec_.cols;
+  std::size_t base =
+      columnStart(col) + std::size_t{spec_.rows + 1} * pmRecordBits_;
+  if (col < spec_.cols) base += std::size_t{spec_.rows} * cbRecordBits_;
+  return base + std::size_t{padRow(pad)} * padRecordBits_ +
+         static_cast<unsigned>(f);
+}
+
+inline std::size_t ConfigLayout::padConnBit(unsigned pad, bool vertical,
+                                            unsigned track) const {
+  assert(track < spec_.tracks);
+  return padFieldBit(pad, PadField::IsOutput) + kPadHeaderBits +
+         (vertical ? spec_.tracks : 0) + track;
+}
+
+inline std::size_t ConfigLayout::bramFieldBit(unsigned block,
+                                              BramField f) const {
+  assert(block < spec_.memBlocks);
+  const std::size_t base = columnStart(spec_.cols) +
+                           std::size_t{spec_.rows + 1} * pmRecordBits_ +
+                           std::size_t{spec_.rows} * padRecordBits_;
+  return base + std::size_t{block} * bramRecordBits_ +
+         static_cast<unsigned>(f);
+}
+
+inline std::size_t ConfigLayout::bramPinConnBit(unsigned block, unsigned pin,
+                                                bool vertical,
+                                                unsigned track) const {
+  assert(pin < DeviceSpec::kBramPins && track < spec_.tracks);
+  return bramFieldBit(block, static_cast<BramField>(0)) + kBramHeaderBits +
+         pin * 2 * spec_.tracks + (vertical ? spec_.tracks : 0) + track;
+}
+
+inline std::uint32_t RoutingNodes::hseg(unsigned x, unsigned y,
+                                        unsigned t) const {
+  assert(x < spec_.cols && y <= spec_.rows && t < spec_.tracks);
+  return hsegBase_ + (x * (spec_.rows + 1) + y) * spec_.tracks + t;
+}
+
+inline std::uint32_t RoutingNodes::vseg(unsigned x, unsigned y,
+                                        unsigned t) const {
+  assert(x <= spec_.cols && y < spec_.rows && t < spec_.tracks);
+  return vsegBase_ + (x * spec_.rows + y) * spec_.tracks + t;
+}
+
+inline std::uint32_t RoutingNodes::cbIn(CbCoord cb, CbInPin pin) const {
+  return cbInBase_ + (cb.x * spec_.rows + cb.y) * kCbInPins +
+         static_cast<unsigned>(pin);
+}
+
+inline std::uint32_t RoutingNodes::cbOut(CbCoord cb, CbOutPin pin) const {
+  return cbOutBase_ + (cb.x * spec_.rows + cb.y) * kCbOutPins +
+         static_cast<unsigned>(pin);
+}
+
+inline std::uint32_t RoutingNodes::pad(unsigned p) const {
+  assert(p < spec_.padCount());
+  return padBase_ + p;
+}
+
+inline std::uint32_t RoutingNodes::bramPin(unsigned block,
+                                           unsigned pin) const {
+  assert(block < spec_.memBlocks && pin < DeviceSpec::kBramPins);
+  return bramBase_ + block * DeviceSpec::kBramPins + pin;
+}
+
+inline NodeInfo RoutingNodes::info(std::uint32_t node) const {
+  NodeInfo n{};
+  if (node < vsegBase_) {
+    n.kind = NodeKind::HSeg;
+    const std::uint32_t rel = node - hsegBase_;
+    n.track = rel % spec_.tracks;
+    const std::uint32_t xy = rel / spec_.tracks;
+    n.x = xy / (spec_.rows + 1);
+    n.y = xy % (spec_.rows + 1);
+  } else if (node < cbInBase_) {
+    n.kind = NodeKind::VSeg;
+    const std::uint32_t rel = node - vsegBase_;
+    n.track = rel % spec_.tracks;
+    const std::uint32_t xy = rel / spec_.tracks;
+    n.x = xy / spec_.rows;
+    n.y = xy % spec_.rows;
+  } else if (node < cbOutBase_) {
+    n.kind = NodeKind::CbIn;
+    const std::uint32_t rel = node - cbInBase_;
+    n.track = rel % kCbInPins;
+    const std::uint32_t xy = rel / kCbInPins;
+    n.x = xy / spec_.rows;
+    n.y = xy % spec_.rows;
+  } else if (node < padBase_) {
+    n.kind = NodeKind::CbOut;
+    const std::uint32_t rel = node - cbOutBase_;
+    n.track = rel % kCbOutPins;
+    const std::uint32_t xy = rel / kCbOutPins;
+    n.x = xy / spec_.rows;
+    n.y = xy % spec_.rows;
+  } else if (node < bramBase_) {
+    n.kind = NodeKind::Pad;
+    n.x = node - padBase_;
+  } else {
+    n.kind = NodeKind::BramPin;
+    const std::uint32_t rel = node - bramBase_;
+    n.x = rel / DeviceSpec::kBramPins;
+    n.track = rel % DeviceSpec::kBramPins;
+  }
+  return n;
+}
 
 }  // namespace fades::fpga

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 #include "synth/fabric.hpp"
 #include "synth/place.hpp"
 #include "synth/route.hpp"
@@ -450,9 +451,11 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
     placerNets.push_back(std::move(pn));
   }
 
-  const PlacerResult placed =
-      place(spec, static_cast<std::uint32_t>(cells.size()), placerNets, rng,
-            options.placementSwapMultiplier);
+  const PlacerResult placed = [&] {
+    obs::Span span{"synth.place"};
+    return place(spec, static_cast<std::uint32_t>(cells.size()), placerNets,
+                 rng, options.placementSwapMultiplier);
+  }();
 
   for (std::uint32_t ci = 0; ci < cells.size(); ++ci) {
     if (cells[ci].lut >= 0) impl.luts[cells[ci].lut].cb = placed.cellSite[ci];
@@ -499,68 +502,77 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
     requests.push_back(std::move(r));
   }
   RouteStats rstats;
-  const auto routed =
-      routeAll(layout, nodes, requests, options.maxRouteIterations, &rstats);
+  const auto routed = [&] {
+    obs::Span span{"synth.route"};
+    auto nets =
+        routeAll(layout, nodes, requests, options.maxRouteIterations, &rstats);
+    span.setArg("iterations", std::to_string(rstats.iterations));
+    return nets;
+  }();
 
   // --------------------------------------------------------------- bitgen
-  fpga::Bitstream bs{common::BitVector(layout.logicPlaneBits()),
-                     common::BitVector(layout.bramPlaneBits())};
+  {
+    obs::Span span{"synth.bitgen"};
+    fpga::Bitstream bs{common::BitVector(layout.logicPlaneBits()),
+                       common::BitVector(layout.bramPlaneBits())};
 
-  for (std::uint32_t ci = 0; ci < cells.size(); ++ci) {
-    const CbCoord cb = placed.cellSite[ci];
-    if (cells[ci].lut >= 0) {
-      const auto& site = impl.luts[cells[ci].lut];
-      for (unsigned i = 0; i < 16; ++i) {
-        bs.logic.set(layout.cbLutBit(cb, i), (site.table >> i) & 1u);
+    for (std::uint32_t ci = 0; ci < cells.size(); ++ci) {
+      const CbCoord cb = placed.cellSite[ci];
+      if (cells[ci].lut >= 0) {
+        const auto& site = impl.luts[cells[ci].lut];
+        for (unsigned i = 0; i < 16; ++i) {
+          bs.logic.set(layout.cbLutBit(cb, i), (site.table >> i) & 1u);
+        }
+        bs.logic.set(layout.cbFieldBit(cb, CbField::LutUsed), true);
       }
-      bs.logic.set(layout.cbFieldBit(cb, CbField::LutUsed), true);
-    }
-    if (cells[ci].flop >= 0) {
-      const auto fi = static_cast<std::uint32_t>(cells[ci].flop);
-      bs.logic.set(layout.cbFieldBit(cb, CbField::FfUsed), true);
-      bs.logic.set(layout.cbFieldBit(cb, CbField::SrMode),
-                   impl.flops[fi].init);
-      bs.logic.set(layout.cbFieldBit(cb, CbField::FfInSrc),
-                   !flopInternal[fi]);
-      impl.flops[fi].bypassInput = !flopInternal[fi];
-    }
-  }
-  for (const auto& p : impl.pads) {
-    bs.logic.set(layout.padFieldBit(p.pad, fpga::PadField::Used), true);
-    if (!p.isInput) {
-      bs.logic.set(layout.padFieldBit(p.pad, fpga::PadField::IsOutput), true);
-    }
-  }
-  for (std::uint32_t ri = 0; ri < impl.rams.size(); ++ri) {
-    const auto& site = impl.rams[ri];
-    const auto& r = nl.ram(site.ram);
-    for (const auto& sl : site.slices) {
-      bs.logic.set(layout.bramFieldBit(sl.block, fpga::BramField::Used), true);
-      unsigned widthSel = 0;
-      while ((1u << widthSel) < sl.width) ++widthSel;
-      for (unsigned b = 0; b < 3; ++b) {
-        bs.logic.set(
-            layout.bramFieldBit(sl.block, fpga::BramField::WidthSelLo) + b,
-            (widthSel >> b) & 1u);
-      }
-      for (std::size_t row = 0; row < r.depth(); ++row) {
-        bs.bram.setWord(layout.bramContentBit(sl.block, 0) + row * sl.width,
-                        sl.width, r.initWord(row) >> sl.bitLo);
+      if (cells[ci].flop >= 0) {
+        const auto fi = static_cast<std::uint32_t>(cells[ci].flop);
+        bs.logic.set(layout.cbFieldBit(cb, CbField::FfUsed), true);
+        bs.logic.set(layout.cbFieldBit(cb, CbField::SrMode),
+                     impl.flops[fi].init);
+        bs.logic.set(layout.cbFieldBit(cb, CbField::FfInSrc),
+                     !flopInternal[fi]);
+        impl.flops[fi].bypassInput = !flopInternal[fi];
       }
     }
-  }
-  // Routing bits.
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    for (const auto& [a, b] : routed[i].edges) {
-      const auto bit = transistorBit(layout, nodes, a, b);
-      require(bit.has_value(), ErrorKind::SynthesisError,
-              "routed edge without a pass transistor");
-      bs.logic.set(*bit, true);
+    for (const auto& p : impl.pads) {
+      bs.logic.set(layout.padFieldBit(p.pad, fpga::PadField::Used), true);
+      if (!p.isInput) {
+        bs.logic.set(layout.padFieldBit(p.pad, fpga::PadField::IsOutput), true);
+      }
     }
+    for (std::uint32_t ri = 0; ri < impl.rams.size(); ++ri) {
+      const auto& site = impl.rams[ri];
+      const auto& r = nl.ram(site.ram);
+      for (const auto& sl : site.slices) {
+        bs.logic.set(layout.bramFieldBit(sl.block, fpga::BramField::Used),
+                     true);
+        unsigned widthSel = 0;
+        while ((1u << widthSel) < sl.width) ++widthSel;
+        for (unsigned b = 0; b < 3; ++b) {
+          bs.logic.set(
+              layout.bramFieldBit(sl.block, fpga::BramField::WidthSelLo) + b,
+              (widthSel >> b) & 1u);
+        }
+        for (std::size_t row = 0; row < r.depth(); ++row) {
+          bs.bram.setWord(layout.bramContentBit(sl.block, 0) + row * sl.width,
+                          sl.width, r.initWord(row) >> sl.bitLo);
+        }
+      }
+    }
+    // Routing bits.
+    for (std::size_t i = 0; i < routed.size(); ++i) {
+      for (const auto& [a, b] : routed[i].edges) {
+        const auto bit = transistorBit(layout, nodes, a, b);
+        require(bit.has_value(), ErrorKind::SynthesisError,
+                "routed edge without a pass transistor");
+        bs.logic.set(*bit, true);
+      }
+    }
+    impl.bitstream = std::move(bs);
   }
 
   // -------------------------------------------------- assemble the result
-  impl.bitstream = std::move(bs);
   impl.routes.reserve(phys.size());
   for (std::size_t i = 0; i < phys.size(); ++i) {
     NetRouteInfo info;

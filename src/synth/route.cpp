@@ -1,8 +1,9 @@
 #include "synth/route.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "common/error.hpp"
 #include "synth/fabric.hpp"
@@ -35,9 +36,20 @@ struct Search {
   }
 };
 
-bool isPin(NodeKind k) {
-  return k == NodeKind::CbIn || k == NodeKind::CbOut || k == NodeKind::Pad ||
-         k == NodeKind::BramPin;
+// Open-list entry: the bits of f = g + h above the node id. f is a sum of
+// non-negative finite floats - node costs are >= 1 and h is a sum of
+// std::abs values, which are never -0 - so f is finite and >= +0, and for
+// such floats the bit patterns ascend with the values. Unsigned key order is
+// therefore exactly the lexicographic (f, node) order, a total order on the
+// entries: any exact min-heap pops them in the same sequence.
+std::uint64_t openKey(float f, std::uint32_t node) {
+  return std::uint64_t{std::bit_cast<std::uint32_t>(f)} << 32 | node;
+}
+float keyCost(std::uint64_t key) {
+  return std::bit_cast<float>(static_cast<std::uint32_t>(key >> 32));
+}
+std::uint32_t keyNode(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key);
 }
 
 }  // namespace
@@ -50,10 +62,8 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
   std::vector<RoutedNet> result(requests.size());
   std::vector<std::uint16_t> occupancy(N, 0);
   std::vector<float> history(N, 0.f);
-  std::vector<std::uint8_t> kindOf(N);
   std::vector<float> posX(N), posY(N);
   for (std::uint32_t n = 0; n < N; ++n) {
-    kindOf[n] = static_cast<std::uint8_t>(nodes.info(n).kind);
     double x, y;
     nodes.position(n, x, y);
     posX[n] = static_cast<float>(x);
@@ -61,8 +71,12 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
   }
 
   Search search(N);
-  using QEntry = std::pair<float, std::uint32_t>;  // (f = g + h, node)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> open;
+  // Binary min-heap of openKey(f, node); cleared, not drained, per search.
+  std::vector<std::uint64_t> open;
+  auto push = [&](float f, std::uint32_t node) {
+    open.push_back(openKey(f, node));
+    std::push_heap(open.begin(), open.end(), std::greater<>{});
+  };
 
   auto ripUp = [&](std::size_t netIdx) {
     for (auto n : result[netIdx].nodes) {
@@ -90,17 +104,20 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
     for (std::uint32_t sink : sinks) {
       if (sink == req.source) continue;
       search.newSearch();
-      while (!open.empty()) open.pop();
+      open.clear();
       for (auto n : net.nodes) {
         search.visit(n, 0.f, n);
         const float h = std::abs(posX[n] - posX[sink]) +
                         std::abs(posY[n] - posY[sink]);
-        open.push({h, n});
+        push(h, n);
       }
       bool found = false;
       while (!open.empty()) {
-        const auto [f, n] = open.top();
-        open.pop();
+        std::pop_heap(open.begin(), open.end(), std::greater<>{});
+        const std::uint64_t key = open.back();
+        open.pop_back();
+        const float f = keyCost(key);
+        const std::uint32_t n = keyNode(key);
         if (n == sink) {
           found = true;
           break;
@@ -115,7 +132,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
         forEachNeighbor(layout, nodes, n,
                         [&](std::uint32_t nb, std::size_t /*bit*/) {
           // Pins are endpoints, never waypoints.
-          if (isPin(static_cast<NodeKind>(kindOf[nb])) && nb != sink) return;
+          if (nodes.isPin(nb) && nb != sink) return;
           const float nodeCost =
               1.f + history[nb] +
               presentFactor * static_cast<float>(occupancy[nb]);
@@ -124,7 +141,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
             search.visit(nb, cost, n);
             const float h = std::abs(posX[nb] - posX[sink]) +
                             std::abs(posY[nb] - posY[sink]);
-            open.push({cost + h, nb});
+            push(cost + h, nb);
           }
         });
       }
@@ -159,8 +176,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
       for (std::size_t i = 0; i < requests.size(); ++i) {
         bool over = false;
         for (auto n : result[i].nodes) {
-          if (occupancy[n] > 1 &&
-              !isPin(static_cast<NodeKind>(kindOf[n]))) {
+          if (occupancy[n] > 1 && !nodes.isPin(n)) {
             over = true;
             break;
           }
@@ -176,7 +192,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
     bool anyOver = false;
     const float historyInc = 1.0f + 0.2f * static_cast<float>(iter);
     for (std::uint32_t n = 0; n < N; ++n) {
-      if (occupancy[n] > 1 && !isPin(static_cast<NodeKind>(kindOf[n]))) {
+      if (occupancy[n] > 1 && !nodes.isPin(n)) {
         history[n] += historyInc;
         anyOver = true;
       }
@@ -188,7 +204,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
       std::size_t overCount = 0;
       std::string samples;
       for (std::uint32_t n = 0; n < N && overCount < 2000; ++n) {
-        if (occupancy[n] > 1 && !isPin(static_cast<NodeKind>(kindOf[n]))) {
+        if (occupancy[n] > 1 && !nodes.isPin(n)) {
           ++overCount;
           if (overCount <= 8) {
             const auto info = nodes.info(n);

@@ -14,6 +14,7 @@
 #include "mc8051/workloads.hpp"
 #include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
+#include "random_design.hpp"
 #include "rtl/builder.hpp"
 
 namespace fades::netlist {
@@ -24,32 +25,7 @@ using common::Rng;
 using rtl::Builder;
 using rtl::Bus;
 
-// Random register+logic design, same flavour as the property suite's.
-Builder randomDesign(std::uint64_t seed, unsigned gates) {
-  Rng rng(seed);
-  Builder b;
-  Bus in = b.input("in", 8);
-  std::vector<rtl::NetId> pool = in;
-  std::vector<rtl::Register> regs;
-  for (unsigned r = 0; r < 4; ++r) {
-    regs.push_back(b.makeRegister("q" + std::to_string(r), 4, 0));
-    pool.insert(pool.end(), regs.back().q.begin(), regs.back().q.end());
-  }
-  for (unsigned g = 0; g < gates; ++g) {
-    const auto pick = [&] { return pool[rng.below(pool.size())]; };
-    pool.push_back(rng.coin() ? b.lxor(pick(), pick())
-                              : b.lmux(pick(), pick(), pick()));
-  }
-  for (auto& r : regs) {
-    Bus d;
-    for (int k = 0; k < 4; ++k) d.push_back(pool[rng.below(pool.size())]);
-    b.connect(r, d);
-  }
-  Bus out;
-  for (int k = 0; k < 8; ++k) out.push_back(pool[rng.below(pool.size())]);
-  b.output("out", out);
-  return b;
-}
+using test_support::randomDesign;
 
 // ------------------------------------------------------- schedule shape -----
 

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fpga/device.hpp"
+#include "fpga/layout.hpp"
+#include "mc8051/core.hpp"
+#include "mc8051/workloads.hpp"
+#include "obs/trace.hpp"
+#include "random_design.hpp"
 #include "rtl/builder.hpp"
+#include "rtl/demo.hpp"
+#include "service/wire.hpp"
 #include "sim/simulator.hpp"
 #include "synth/implement.hpp"
 #include "synth/techmap.hpp"
@@ -438,6 +446,200 @@ TEST(Implement, TooManyCellsRejected) {
   }
   Netlist nl = b.finish();
   EXPECT_THROW(implement(nl, DeviceSpec::small()), common::FadesError);
+}
+
+// ------------------------------------------------------- route digests -----
+//
+// FNV-1a digests of whole implementations. The router pops its open list in
+// a total (f, node) order, so the routes do not depend on how the open list,
+// the pin test or the fabric accessors are implemented: a change to any of
+// them that moves one route or one configuration bit fails here.
+
+/// Values laid out as bytes for service::fnv1a64Hex: integers as 8
+/// little-endian bytes, strings as their length and then their characters.
+class DigestBytes {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    bytes_ += s;
+  }
+  template <typename T>
+  void addAll(const std::vector<T>& v) {
+    add(v.size());
+    for (const auto& x : v) add(static_cast<std::uint64_t>(x));
+  }
+  void addRaw(const std::vector<std::uint8_t>& raw) {
+    bytes_.append(raw.begin(), raw.end());
+  }
+  std::string hex() const { return service::fnv1a64Hex(bytes_); }
+
+ private:
+  std::string bytes_;
+};
+
+/// Both bitstream planes.
+std::string bitstreamDigest(const Implementation& impl) {
+  DigestBytes h;
+  for (const common::BitVector* plane :
+       {&impl.bitstream.logic, &impl.bitstream.bram}) {
+    h.add(plane->size());
+    h.addRaw(plane->exportBytes(0, plane->size()));
+  }
+  return h.hex();
+}
+
+/// Everything synthesis decides: sites, routes, memory slices and pads.
+std::string implementationDigest(const Implementation& impl) {
+  DigestBytes h;
+  h.add(impl.luts.size());
+  for (const auto& l : impl.luts) {
+    h.add(l.cb.x);
+    h.add(l.cb.y);
+    h.add(l.out.value);
+    h.add(l.table);
+    h.add(l.leafCount);
+    h.add(l.signalName);
+  }
+  h.add(impl.flops.size());
+  for (const auto& f : impl.flops) {
+    h.add(f.cb.x);
+    h.add(f.cb.y);
+    h.add(f.name);
+    h.add(f.init);
+    h.add(f.bypassInput);
+  }
+  h.add(impl.routes.size());
+  for (const auto& r : impl.routes) {
+    h.add(r.signalName);
+    h.add(r.sourceNet.value);
+    h.add(r.sequentialSource);
+    h.add(r.sourceNode);
+    h.addAll(r.sinkNodes);
+    h.addAll(r.wireNodes);
+    h.addAll(r.transistorBits);
+    h.add(r.edgeNodes.size());
+    for (const auto& [a, b] : r.edgeNodes) {
+      h.add(a);
+      h.add(b);
+    }
+  }
+  h.add(impl.rams.size());
+  for (const auto& r : impl.rams) {
+    h.add(r.name);
+    h.add(r.slices.size());
+    for (const auto& sl : r.slices) {
+      h.add(sl.block);
+      h.add(sl.bitLo);
+      h.add(sl.width);
+    }
+  }
+  h.add(impl.pads.size());
+  for (const auto& p : impl.pads) {
+    h.add(p.port);
+    h.add(p.bitIndex);
+    h.add(p.pad);
+    h.add(p.isInput);
+  }
+  return h.hex();
+}
+
+TEST(RouteDigest, Mc8051BubblesortOnVirtex1000) {
+  const auto nl = mc8051::buildCore(mc8051::bubblesort(6).bytes);
+  const auto impl = implement(nl, DeviceSpec::virtex1000Like());
+  EXPECT_EQ(impl.stats.routeIterations, 40u);
+  EXPECT_EQ(impl.stats.configBits, 68446u);
+  EXPECT_EQ(bitstreamDigest(impl), "0f0f863f2430177b");
+  EXPECT_EQ(implementationDigest(impl), "6efba8455dee62c0");
+}
+
+TEST(RouteDigest, DemoDesignOnSmall) {
+  const auto impl = implement(rtl::demoDesign(), DeviceSpec::small());
+  EXPECT_EQ(bitstreamDigest(impl), "5131f25e5c301c0f");
+  EXPECT_EQ(implementationDigest(impl), "ac1166158cdaee11");
+}
+
+TEST(RouteDigest, RandomDesignsOnSmall) {
+  // {bitstream, implementation} digests of test_support::randomDesign(seed,
+  // 50) for seeds 1..24.
+  const char* const kPinned[][2] = {
+      {"b51732f70ca812ed", "446c684924617335"},
+      {"4d13d7d5f0f12290", "e03528ffd51affda"},
+      {"0eafba1374fb6965", "cc3b885e02fbde86"},
+      {"af93308daad19f75", "0eb728515ceb444d"},
+      {"8a72232c1b6eddff", "08976bc545f1c3f8"},
+      {"0f7a83f145578232", "989504b08290290d"},
+      {"c6e20d3a18e576b0", "3ce3f724fd0e0106"},
+      {"ca33f9255cf00409", "7a42c7cfe8968df9"},
+      {"c48b3cb25f4ff471", "f3d1d4254322e5cb"},
+      {"53c64d779752d129", "342dc675a9ecabb6"},
+      {"13b42ffce07f3348", "c17c75c20de62733"},
+      {"3056e1fb2e315fe9", "e87832bd21584289"},
+      {"d49030e1440a32c1", "2889f21a9b557340"},
+      {"e0b7ebafb9871ddd", "2a16a4d8e42470d1"},
+      {"dadd714c0219214e", "051df5acab8ec7fa"},
+      {"0f7b5dc3febfaa0d", "d15149d11da54fbd"},
+      {"640b44a6a0095251", "23279235f5553dd6"},
+      {"89c0c9fdbb8630d6", "b86b8622e5b1e92d"},
+      {"c3620188d5b7f212", "5ee7d15f4ad3270e"},
+      {"e117fbbf4274912d", "b297b85b1fc5fb1d"},
+      {"dd87862ddbc296ee", "968cb264bf0272f1"},
+      {"6bf4117d508b7c6d", "f1280d4d7fb9c0be"},
+      {"a8dec198620b493d", "01085b728ede320b"},
+      {"5c1ef6c73d705087", "c45434ea8bbaf28d"},
+  };
+  std::uint64_t seed = 1;
+  for (const auto& pin : kPinned) {
+    const Netlist nl = test_support::randomDesign(seed, 50).finish();
+    const auto impl = implement(nl, DeviceSpec::small());
+    EXPECT_EQ(bitstreamDigest(impl), pin[0]) << "seed " << seed;
+    EXPECT_EQ(implementationDigest(impl), pin[1]) << "seed " << seed;
+    ++seed;
+  }
+}
+
+TEST(RouteDigest, PinTestByNodeIdMatchesNodeKind) {
+  // The router rejects pins as waypoints with RoutingNodes::isPin, a range
+  // test on the node id; it must agree with the node's kind everywhere.
+  for (const DeviceSpec& spec : {DeviceSpec::small(), DeviceSpec::medium(),
+                                 DeviceSpec::virtex1000Like()}) {
+    const fpga::RoutingNodes nodes(spec);
+    for (std::uint32_t n = 0; n < nodes.count(); ++n) {
+      const fpga::NodeKind k = nodes.info(n).kind;
+      const bool pin = k == fpga::NodeKind::CbIn ||
+                       k == fpga::NodeKind::CbOut ||
+                       k == fpga::NodeKind::Pad ||
+                       k == fpga::NodeKind::BramPin;
+      ASSERT_EQ(nodes.isPin(n), pin) << spec.name << " node " << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------- phase spans -----
+
+TEST(Implement, TracesPlaceRouteAndBitgen) {
+  auto& trace = obs::TraceBuffer::global();
+  const bool wasEnabled = trace.enabled();
+  trace.setEnabled(true);
+  trace.clear();
+  const auto impl = implement(rtl::demoDesign(), DeviceSpec::small());
+  const auto spans = trace.snapshot();
+  trace.setEnabled(wasEnabled);
+
+  std::vector<std::string> names;
+  for (const auto& s : spans) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"synth.place", "synth.route",
+                                             "synth.bitgen"}));
+  for (const auto& s : spans) {
+    if (s.name != "synth.route") continue;
+    ASSERT_EQ(s.args.size(), 1u);
+    EXPECT_EQ(s.args[0].key, "iterations");
+    EXPECT_EQ(s.args[0].value, std::to_string(impl.stats.routeIterations));
+  }
 }
 
 }  // namespace

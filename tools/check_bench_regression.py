@@ -5,7 +5,10 @@ Reads a google-benchmark JSON file produced by `bench_microbench --json`
 and checks the cached/uncached throughput ratios of the BM_ReconfigExperiment
 pairs. Ratios compare two runs of the same binary on the same machine inside
 one CI job, so the gate is machine-independent - absolute nanoseconds are
-never compared across hosts.
+never compared across hosts. When the file holds repeated runs
+(--benchmark_repetitions=N), each benchmark's `_median` aggregate is used, so
+one noisy repetition cannot swing a ratio; a file without aggregates (such as
+the committed baseline) is read from its single iteration entries.
 
 Checks (any failure exits non-zero):
   1. The GSR pair ratio must be >= --min-gsr-ratio (default 1.3): the
@@ -33,14 +36,27 @@ def throughput(entry):
     return 1.0 / float(entry["real_time"])
 
 
+def throughputs(benchmarks):
+    # name -> throughput, from the _median aggregates when any exist.
+    medians = {
+        b["run_name"]: throughput(b)
+        for b in benchmarks
+        if b.get("run_type") == "aggregate"
+        and b.get("aggregate_name") == "median"
+    }
+    if medians:
+        return medians
+    return {
+        b["name"]: throughput(b)
+        for b in benchmarks
+        if b.get("run_type", "iteration") == "iteration" and "name" in b
+    }
+
+
 def cache_ratios(path):
     with open(path) as f:
         data = json.load(f)
-    by_name = {
-        b["name"]: throughput(b)
-        for b in data.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration" and "name" in b
-    }
+    by_name = throughputs(data.get("benchmarks", []))
     ratios = {}
     for name, ips in by_name.items():
         if not name.endswith("Cached") or name.endswith("Uncached"):
